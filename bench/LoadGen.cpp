@@ -6,7 +6,6 @@
 
 #include "bench/LoadGen.h"
 
-#include "elide/Provisioner.h"
 #include "server/FaultInjection.h"
 #include "server/Transport.h"
 #include "sgx/Attestation.h"
@@ -32,8 +31,7 @@ using Clock = std::chrono::steady_clock;
 
 /// The attested-enclave stand-in: a scratch enclave on a simulated device
 /// whose QE signs reports over caller-chosen report data. One instance
-/// serves every attestation round (quotes are minted under a lock; the
-/// signing cost is part of what batching amortizes away).
+/// serves every HELLO (quotes are minted under a lock).
 struct QuoteMint {
   sgx::SgxDevice Device;
   sgx::AttestationAuthority Authority;
@@ -59,14 +57,17 @@ struct QuoteMint {
     return Error::success();
   }
 
-  /// Quote whose report data leads with \p BindingHash.
-  Expected<Bytes> quoteFor(const std::array<uint8_t, 32> &BindingHash) {
+  /// The HELLO the shipped restorer sends: a quote whose report data
+  /// leads with the channel key \p ClientPub.
+  Expected<Bytes> helloFor(const X25519Key &ClientPub) {
     std::lock_guard<std::mutex> Lock(Mutex);
     sgx::ReportData Rd{};
-    std::memcpy(Rd.data(), BindingHash.data(), 32);
+    std::memcpy(Rd.data(), ClientPub.data(), 32);
     sgx::Report R = Enclave->createReport(Qe.targetInfo(), Rd);
     ELIDE_TRY(sgx::Quote Q, Qe.quoteReport(R));
-    return Q.serialize();
+    Bytes Hello{FrameHello};
+    appendBytes(Hello, Q.serialize());
+    return Hello;
   }
 };
 
@@ -115,33 +116,38 @@ bool frameSaysDeadlineExpired(BytesView Frame) {
                   Frame.size() - 1));
 }
 
-/// One full simulated restore: batch-join a session, then fetch the
-/// metadata over the record channel. Returns success; always counts
-/// attempts/shed into \p R.
-bool restoreOnce(AttestationBatcher &Batcher,
-                 const std::array<uint8_t, 32> &GroupKey, Transport &Records,
+/// One attested HELLO for \p ClientPub over \p Hellos.
+Expected<HelloOk> hello(QuoteMint &Mint, Transport &Hellos,
+                        const X25519Key &ClientPub) {
+  ELIDE_TRY(Bytes Hello, Mint.helloFor(ClientPub));
+  ELIDE_TRY(Bytes Response, Hellos.roundTrip(Hello));
+  return parseHelloOkFrame(Response);
+}
+
+/// One full simulated restore: an attested HELLO mints a session, then
+/// the metadata comes over the record channel. Returns success; always
+/// counts attempts/shed into \p R.
+bool restoreOnce(QuoteMint &Mint, Transport &Hellos, Transport &Records,
                  Drbg &Rng, const LoadGenConfig &Cfg, WorkerResult &R) {
   X25519Key Priv;
   Rng.fill(MutableBytesView(Priv.data(), 32));
   X25519Key Pub = x25519PublicKey(Priv);
 
-  Expected<BatchJoinResult> Join = Batcher.join(GroupKey, Pub);
+  Expected<HelloOk> Ok = hello(Mint, Hellos, Pub);
   ++R.Attempts;
-  if (!Join) {
-    // One fresh attempt: a faulted batch round fails the whole group, but
-    // the next wave usually goes through.
-    Join = Batcher.join(GroupKey, Pub);
+  if (!Ok) {
+    Ok = hello(Mint, Hellos, Pub);
     ++R.Attempts;
-    if (!Join)
+    if (!Ok)
       return false;
   }
-  SessionKeys Keys = deriveSessionKeys(x25519(Priv, Join->ServerPub), Pub,
-                                       Join->ServerPub);
+  SessionKeys Keys =
+      deriveSessionKeys(x25519(Priv, Ok->ServerPub), Pub, Ok->ServerPub);
 
   bool Envelope = Cfg.EnvelopeRecords || Cfg.RecordDeadlineMs;
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
     Expected<Bytes> Frame = sealSessionRecord(
-        Join->Sid, Keys.ClientToServer, Bytes{RequestMeta}, Rng);
+        Ok->Sid, Keys.ClientToServer, Bytes{RequestMeta}, Rng);
     if (!Frame)
       return false;
     ++R.RecordAttempts;
@@ -181,8 +187,6 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
     return makeError("loadgen needs at least one worker");
   if (Config.Mode == LoadGenMode::Open && Config.ArrivalPerSec <= 0)
     return makeError("open-loop mode needs a positive arrival rate");
-  size_t Batch = std::max<size_t>(1, std::min(Config.BatchSize,
-                                              BatchMaxSessions));
 
   QuoteMint Mint(Config.Seed + 100);
   if (Error E = Mint.build())
@@ -224,7 +228,7 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
     Ballast.push_back(Fd);
   }
 
-  // Client channels. The batch HELLO channel stays clean; the record
+  // Client channels. The HELLO channel stays clean; the record
   // channel optionally suffers seeded faults (that is the path with
   // retries to soak).
   TcpClientTransport HelloLink("127.0.0.1", Tcp->port());
@@ -236,19 +240,6 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
   Transport &Records =
       Config.FaultPerMille ? static_cast<Transport &>(FaultyRecords)
                            : static_cast<Transport &>(RecordLink);
-
-  AttestationBatcherConfig BC;
-  BC.MaxBatch = Batch;
-  BC.MaxDelayMs = 5;
-  AttestationBatcher Batcher(
-      HelloLink,
-      [&Mint](const std::array<uint8_t, 32> &,
-              const std::array<uint8_t, 32> &Binding) {
-        return Mint.quoteFor(Binding);
-      },
-      BC);
-  std::array<uint8_t, 32> GroupKey{};
-  std::memcpy(GroupKey.data(), Mint.Mr.data(), 32);
 
   // The measured phase.
   std::atomic<size_t> Succeeded{0};
@@ -283,7 +274,7 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
           break;
         }
         Timer T;
-        bool Ok = restoreOnce(Batcher, GroupKey, Records, Rng, Config, R);
+        bool Ok = restoreOnce(Mint, HelloLink, Records, Rng, Config, R);
         if (Ok) {
           R.LatenciesMs.push_back(T.elapsedMs());
           Succeeded.fetch_add(1, std::memory_order_relaxed);
@@ -308,7 +299,6 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
 
   LoadGenReport Report;
   Report.Config = Config;
-  Report.Config.BatchSize = Batch;
   std::vector<double> All;
   size_t RecordAttempts = 0;
   for (WorkerResult &R : Results) {
@@ -338,10 +328,6 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
                                    static_cast<double>(Attempts)
                              : 0;
 
-  AttestationBatcher::Stats BS = Batcher.stats();
-  Report.BatchRounds = BS.Rounds;
-  Report.BatchSessionsMinted = BS.Sessions;
-  Report.BatchAmortization = BS.amortization();
   Report.MaxConcurrentSessions = PeakSessions.load();
   Report.FaultsInjected = Config.FaultPerMille
                               ? FaultyRecords.stats().Injected
@@ -359,14 +345,13 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       Buf, sizeof(Buf),
       "{\n"
       "  \"bench\": \"provisioning_loadgen\",\n"
-      "  \"version\": 1,\n"
+      "  \"version\": 2,\n"
       "  \"config\": {\n"
       "    \"mode\": \"%s\",\n"
       "    \"duration_ms\": %d,\n"
       "    \"workers\": %zu,\n"
       "    \"connections\": %zu,\n"
       "    \"target_sessions\": %zu,\n"
-      "    \"batch\": %zu,\n"
       "    \"arrival_per_sec\": %.1f,\n"
       "    \"session_shards\": %zu,\n"
       "    \"fault_seed\": %llu,\n"
@@ -385,14 +370,12 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       "    \"deadline_miss_rate\": %.4f,\n"
       "    \"shed_by_class\": {\"critical\": %zu, \"default\": %zu, "
       "\"sheddable\": %zu},\n"
-      "    \"batch\": {\"rounds\": %zu, \"sessions_minted\": %zu, "
-      "\"amortization\": %.2f},\n"
       "    \"max_concurrent_sessions\": %zu,\n"
       "    \"max_concurrent_connections\": %zu,\n"
       "    \"faults_injected\": %zu,\n"
       "    \"server\": {\"handshakes_completed\": %zu, "
-      "\"batch_handshakes\": %zu, \"live_sessions\": %zu, "
-      "\"sessions_evicted\": %zu, \"frames_served\": %zu, "
+      "\"live_sessions\": %zu, \"sessions_evicted\": %zu, "
+      "\"frames_served\": %zu, "
       "\"connections_accepted\": %zu, \"connections_shed\": %zu, "
       "\"read_timeouts\": %zu, \"write_timeouts\": %zu, "
       "\"used_epoll\": %s, \"wakeups\": %zu}\n"
@@ -400,18 +383,16 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       "}\n",
       R.Config.Mode == LoadGenMode::Open ? "open" : "closed",
       R.Config.DurationMs, R.Config.Workers, R.Config.Connections,
-      R.Config.TargetSessions, R.Config.BatchSize, R.Config.ArrivalPerSec,
-      R.Config.SessionShards,
+      R.Config.TargetSessions, R.Config.ArrivalPerSec, R.Config.SessionShards,
       static_cast<unsigned long long>(R.Config.FaultSeed),
       R.Config.FaultPerMille, R.Config.ForcePollBackend ? "true" : "false",
       R.RestoresTotal, R.RestoresFailed, R.DurationS, R.RestoresPerSec,
       R.LatencyMs.P50, R.LatencyMs.P95, R.LatencyMs.P99, R.LatencyMs.Mean,
       R.ShedRate, R.DeadlineMissed, R.DeadlineMissRate, R.Server.ShedCritical,
-      R.Server.ShedDefault, R.Server.ShedSheddable, R.BatchRounds,
-      R.BatchSessionsMinted, R.BatchAmortization,
-      R.MaxConcurrentSessions, R.MaxConcurrentConnections, R.FaultsInjected,
-      R.Server.HandshakesCompleted, R.Server.BatchHandshakes,
-      R.Server.LiveSessions, R.Server.SessionsEvicted,
+      R.Server.ShedDefault, R.Server.ShedSheddable, R.MaxConcurrentSessions,
+      R.MaxConcurrentConnections, R.FaultsInjected,
+      R.Server.HandshakesCompleted, R.Server.LiveSessions,
+      R.Server.SessionsEvicted,
       R.Reactor.FramesServed, R.Reactor.ConnectionsAccepted,
       R.Reactor.ConnectionsShed, R.Reactor.ReadTimeouts,
       R.Reactor.WriteTimeouts, R.Reactor.UsedEpoll ? "true" : "false",

@@ -7,8 +7,8 @@
 /// \file
 /// An in-process provisioning load generator in the spirit of Stress-SGX:
 /// it stands up a reactor-backed AuthServer, then drives it with a fleet
-/// of simulated restore clients -- batched attestation rounds minting
-/// sessions, RECORD exchanges fetching metadata, persistent ballast
+/// of simulated restore clients -- one attested HELLO minting each
+/// session, RECORD exchanges fetching metadata, persistent ballast
 /// connections proving the reactor holds thousands of sockets while
 /// serving throughput traffic.
 ///
@@ -18,9 +18,9 @@
 ///  - **open loop**: restores arrive on a fixed schedule regardless of
 ///    completions -- measures behavior past saturation (queueing, shed).
 ///
-/// The run is summarized as restores/sec, latency percentiles, shed rate,
-/// and the batch amortization factor, and rendered as the
-/// `BENCH_provisioning.json` artifact the CI perf trajectory tracks.
+/// The run is summarized as restores/sec, latency percentiles and shed
+/// rate, and rendered as the `BENCH_provisioning.json` artifact the CI
+/// perf trajectory tracks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +51,6 @@ struct LoadGenConfig {
   /// Stop once this many restores completed successfully (0 = run the
   /// full duration). This is how the 10k-session runs terminate.
   size_t TargetSessions = 0;
-  /// Sessions per HELLO-BATCH attestation round.
-  size_t BatchSize = 32;
   /// Open-loop arrival rate (restores offered per second; ignored in
   /// closed loop).
   double ArrivalPerSec = 200.0;
@@ -102,10 +100,6 @@ struct LoadGenReport {
   /// rate over record attempts.
   size_t DeadlineMissed = 0;
   double DeadlineMissRate = 0;
-  /// Attestation batching amortization.
-  size_t BatchRounds = 0;
-  size_t BatchSessionsMinted = 0;
-  double BatchAmortization = 0;
   /// Peak live sessions in the server's store during the run.
   size_t MaxConcurrentSessions = 0;
   /// Peak open sockets at the reactor (ballast + active exchanges).

@@ -10,7 +10,7 @@
 ///
 ///   loadgen_provisioning --smoke
 ///   loadgen_provisioning --target-sessions 10000 --connections 2000 \
-///       --workers 64 --batch 64 --duration-s 120
+///       --workers 64 --duration-s 120
 ///   loadgen_provisioning --mode open --arrival-per-sec 400 --duration-s 30
 ///
 /// Writes BENCH_provisioning.json (override with --out) and prints the
@@ -39,7 +39,6 @@ void usage(const char *Argv0) {
       "  --workers N               client worker threads (default 8)\n"
       "  --connections N           persistent ballast connections (default 256)\n"
       "  --target-sessions N       stop after N successful restores (default 0 = run out the clock)\n"
-      "  --batch N                 sessions per HELLO-BATCH round (default 32)\n"
       "  --arrival-per-sec R       open-loop offered rate (default 200)\n"
       "  --shards N                server session-store stripes (default 64)\n"
       "  --max-sessions N          server session cap (default 0 = sized to fit)\n"
@@ -83,7 +82,6 @@ int main(int Argc, char **Argv) {
       Config.DurationMs = 2000;
       Config.Workers = 8;
       Config.Connections = 64;
-      Config.BatchSize = 8;
       Config.ServerWorkers = 2;
     } else if (Flag == "--force-poll") {
       Config.ForcePollBackend = true;
@@ -130,8 +128,6 @@ int main(int Argc, char **Argv) {
         Config.Connections = N;
       else if (Flag == "--target-sessions")
         Config.TargetSessions = N;
-      else if (Flag == "--batch")
-        Config.BatchSize = N;
       else if (Flag == "--shards")
         Config.SessionShards = N;
       else if (Flag == "--max-sessions")

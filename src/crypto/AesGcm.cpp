@@ -6,7 +6,7 @@
 
 #include "crypto/AesGcm.h"
 
-#include "crypto/Hmac.h"
+#include "crypto/CryptoEqual.h"
 
 #include <cstring>
 
@@ -196,8 +196,7 @@ Expected<Bytes> elide::aesGcmDecrypt(BytesView Key, BytesView Iv,
   for (int I = 0; I < 16; ++I)
     Expected[I] = S[I] ^ TagMask[I];
 
-  if (!constantTimeEqual(BytesView(Expected.data(), Expected.size()),
-                         BytesView(Tag.data(), Tag.size())))
+  if (!cryptoEqual(Expected.data(), Tag.data(), Expected.size()))
     return makeError("GCM authentication tag mismatch");
 
   return gctr(Cipher, J0, Ciphertext);

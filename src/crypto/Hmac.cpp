@@ -6,8 +6,6 @@
 
 #include "crypto/Hmac.h"
 
-#include "crypto/CryptoEqual.h"
-
 #include <cstring>
 
 using namespace elide;
@@ -36,8 +34,4 @@ Sha256Digest elide::hmacSha256(BytesView Key, BytesView Data) {
   Outer.update(BytesView(Opad, 64));
   Outer.update(BytesView(InnerDigest.data(), InnerDigest.size()));
   return Outer.final();
-}
-
-bool elide::constantTimeEqual(BytesView A, BytesView B) {
-  return cryptoEqual(A, B);
 }

@@ -20,12 +20,6 @@ namespace elide {
 /// Computes HMAC-SHA256(Key, Data).
 Sha256Digest hmacSha256(BytesView Key, BytesView Data);
 
-/// Compares two byte ranges in constant time. Returns true when equal.
-/// Ranges of different length compare unequal (length is not secret).
-/// Thin wrapper kept for existing callers; new code should use
-/// `cryptoEqual` from crypto/CryptoEqual.h directly.
-bool constantTimeEqual(BytesView A, BytesView B);
-
 } // namespace elide
 
 #endif // SGXELIDE_CRYPTO_HMAC_H

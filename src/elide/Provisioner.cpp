@@ -9,8 +9,6 @@
 #include "server/Protocol.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <memory>
 #include <optional>
 
 using namespace elide;
@@ -33,12 +31,6 @@ const char *elide::provisionEventKindName(ProvisionEventKind Kind) {
     return "breaker-half-open";
   case ProvisionEventKind::BreakerClosed:
     return "breaker-closed";
-  case ProvisionEventKind::HedgeLaunched:
-    return "hedge-launched";
-  case ProvisionEventKind::HedgeWon:
-    return "hedge-won";
-  case ProvisionEventKind::HedgeSuppressed:
-    return "hedge-suppressed";
   case ProvisionEventKind::RetryBudgetSpent:
     return "retry-budget-spent";
   case ProvisionEventKind::RetryBudgetExhausted:
@@ -139,17 +131,6 @@ Provisioner::Provisioner(ProvisionerConfig Config)
   }
 }
 
-Provisioner::~Provisioner() {
-  std::vector<std::thread> Pending;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Pending.swap(Stragglers);
-  }
-  for (std::thread &T : Pending)
-    if (T.joinable())
-      T.join();
-}
-
 void Provisioner::addEndpoint(std::string Name, Transport *Link) {
   std::lock_guard<std::mutex> Lock(Mutex);
   BreakerConfig B = Config.Breaker;
@@ -204,9 +185,6 @@ void Provisioner::earnTokenLocked() {
 }
 
 void Provisioner::emit(const ProvisionEvent &Event) const {
-  // Callers hold Mutex; copy the callback out so a slow observer does not
-  // serialize the chain. The callback itself must be thread-safe under
-  // hedging anyway.
   if (Callback)
     Callback(Event);
 }
@@ -305,121 +283,6 @@ Provisioner::Outcome Provisioner::attempt(size_t I, BytesView Request) {
   return O;
 }
 
-Provisioner::Outcome Provisioner::hedgedAttempt(size_t I, size_t J,
-                                                BytesView Request,
-                                                bool &PartnerConsumed) {
-  // Shared state of the race. Worker threads own a shared_ptr so the
-  // state outlives an early-returning caller.
-  struct HedgeRace {
-    std::mutex M;
-    std::condition_variable Cv;
-    std::optional<Outcome> Results[2];
-  };
-
-  PartnerConsumed = false;
-  auto Race = std::make_shared<HedgeRace>();
-  auto Body = toBytes(Request); // Workers outlive the caller's view.
-
-  auto runOne = [this, Race, Body](size_t Slot, size_t EpIndex) {
-    Transport *Link;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Link = Endpoints[EpIndex].Link;
-    }
-    Outcome O = classify(Link->roundTrip(Body));
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      recordOutcome(EpIndex, O);
-    }
-    std::lock_guard<std::mutex> Lock(Race->M);
-    Race->Results[Slot] = std::move(O);
-    Race->Cv.notify_all();
-  };
-
-  std::thread Primary(runOne, 0, I);
-  std::thread Hedge;
-
-  std::unique_lock<std::mutex> RaceLock(Race->M);
-  bool PrimaryDone = Race->Cv.wait_for(
-      RaceLock, std::chrono::milliseconds(Config.HedgeAfterMs),
-      [&] { return Race->Results[0].has_value(); });
-
-  if (PrimaryDone) {
-    RaceLock.unlock();
-    Primary.join();
-    return std::move(*Race->Results[0]);
-  }
-
-  // The primary is past the latency threshold: fire the hedge -- if the
-  // retry budget still covers speculative load (a hedge is a second copy
-  // of the request, so it spends a token like any other extra attempt).
-  bool LaunchHedge;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    LaunchHedge = spendTokenLocked("hedge launch");
-    if (LaunchHedge)
-      emit({ProvisionEventKind::HedgeLaunched, static_cast<int>(J),
-            Endpoints[J].Name, TransportErrc::None, 0,
-            "primary " + Endpoints[I].Name + " exceeded " +
-                std::to_string(Config.HedgeAfterMs) + " ms"});
-  }
-  if (!LaunchHedge) {
-    // Budget ran dry between partner selection and launch: ride out the
-    // primary alone.
-    Race->Cv.wait(RaceLock, [&] { return Race->Results[0].has_value(); });
-    RaceLock.unlock();
-    Primary.join();
-    return std::move(*Race->Results[0]);
-  }
-  PartnerConsumed = true;
-  Hedge = std::thread(runOne, 1, J);
-
-  // First success wins; a failure waits for the other runner's verdict.
-  size_t Winner = 2;
-  Race->Cv.wait(RaceLock, [&] {
-    for (size_t S = 0; S < 2; ++S)
-      if (Race->Results[S] && Race->Results[S]->Result) {
-        Winner = S;
-        return true;
-      }
-    return Race->Results[0].has_value() && Race->Results[1].has_value();
-  });
-
-  Outcome Final = [&]() -> Outcome {
-    if (Winner == 1) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      emit({ProvisionEventKind::HedgeWon, static_cast<int>(J),
-            Endpoints[J].Name, TransportErrc::None, 0,
-            "hedged request answered first"});
-    }
-    if (Winner < 2)
-      return std::move(*Race->Results[Winner]);
-    // Both failed: report the primary's failure (the hedge partner's
-    // verdict is already folded into its breaker).
-    return std::move(*Race->Results[0]);
-  }();
-  RaceLock.unlock();
-
-  // Join what finished; park the straggler so its transport stays safe to
-  // use until the Provisioner dies.
-  auto park = [this](std::thread &T, bool Done) {
-    if (!T.joinable())
-      return;
-    if (Done) {
-      T.join();
-      return;
-    }
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stragglers.push_back(std::move(T));
-  };
-  {
-    std::lock_guard<std::mutex> Lock(Race->M);
-    park(Primary, Race->Results[0].has_value());
-    park(Hedge, Race->Results[1].has_value());
-  }
-  return Final;
-}
-
 Expected<Bytes> Provisioner::roundTrip(BytesView Request) {
   size_t Count;
   {
@@ -433,47 +296,21 @@ Expected<Bytes> Provisioner::roundTrip(BytesView Request) {
   std::vector<bool> Tried(Count, false);
   bool AnyAttempted = false;
   bool AllOverloaded = true;
-  bool HedgeSuppressionNoted = false;
   uint32_t MaxRetryAfter = 0;
   std::string LastMessage = "every breaker is open";
 
   for (;;) {
-    // Pick the first admissible untried endpoint, and (for hedging) the
-    // one after it.
-    size_t I = Count, J = Count;
+    // Pick the first admissible untried endpoint.
+    size_t I = Count;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      for (size_t K = 0; K < Count && J == Count; ++K) {
+      for (size_t K = 0; K < Count && I == Count; ++K) {
         if (Tried[K])
           continue;
-        if (I == Count) {
-          if (admitLocked(K))
-            I = K;
-          else
-            Tried[K] = true;
-          continue;
-        }
-        // Hedge partners are gated only when actually launched; a cheap
-        // state peek avoids pairing with an open breaker. A tight retry
-        // budget disables hedging outright: speculative load is the first
-        // thing shed.
-        if (Config.HedgeAfterMs >= 0 &&
-            Endpoints[K].Breaker.state() != BreakerState::Open) {
-          if (BudgetEnabled && RetryBudget < Config.HedgeDisableBelow) {
-            if (!HedgeSuppressionNoted) {
-              HedgeSuppressionNoted = true;
-              emit({ProvisionEventKind::HedgeSuppressed, static_cast<int>(K),
-                    Endpoints[K].Name, TransportErrc::None, 0,
-                    "retry budget " + std::to_string(RetryBudget) +
-                        " below hedge watermark " +
-                        std::to_string(Config.HedgeDisableBelow)});
-            }
-            break;
-          }
-          J = K;
-        } else {
-          break;
-        }
+        if (admitLocked(K))
+          I = K;
+        else
+          Tried[K] = true;
       }
       // The first attempt of a walk is free (it is the request itself);
       // every further endpoint is a retry and must be paid for.
@@ -489,19 +326,7 @@ Expected<Bytes> Provisioner::roundTrip(BytesView Request) {
     Tried[I] = true;
     AnyAttempted = true;
 
-    Outcome O = [&] {
-      if (J < Count) {
-        bool PartnerConsumed = false;
-        // The partner runs without its own admit() gate (peeked above);
-        // its breaker still records the outcome.
-        Outcome R = hedgedAttempt(I, J, Request, PartnerConsumed);
-        if (PartnerConsumed)
-          Tried[J] = true;
-        return R;
-      }
-      return attempt(I, Request);
-    }();
-
+    Outcome O = attempt(I, Request);
     if (O.Result)
       return O.Result;
     if (O.IsOverloaded)
@@ -533,156 +358,4 @@ Expected<Bytes> Provisioner::roundTrip(BytesView Request) {
           MaxRetryAfter, Message});
   }
   return makeTransportError(Verdict, Message);
-}
-
-//===----------------------------------------------------------------------===//
-// AttestationBatcher
-//===----------------------------------------------------------------------===//
-
-AttestationBatcher::AttestationBatcher(Transport &Link, BatchQuoteFn QuoteFn,
-                                       const AttestationBatcherConfig &Config)
-    : Link(Link), QuoteFn(std::move(QuoteFn)), Config(Config) {
-  if (this->Config.MaxBatch == 0)
-    this->Config.MaxBatch = 1;
-  if (this->Config.MaxBatch > BatchMaxSessions)
-    this->Config.MaxBatch = BatchMaxSessions;
-  Ager = std::thread([this] { agerThread(); });
-}
-
-AttestationBatcher::~AttestationBatcher() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stopping = true;
-  }
-  Cv.notify_all();
-  if (Ager.joinable())
-    Ager.join();
-  flushAll(); // No joiner may be left parked forever.
-}
-
-Expected<BatchJoinResult>
-AttestationBatcher::join(const std::array<uint8_t, 32> &GroupKey,
-                         const X25519Key &ClientPub) {
-  auto W = std::make_shared<Waiter>();
-  W->ClientPub = ClientPub;
-
-  bool FlushNow = false;
-  Group Full;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Group &G = Groups[GroupKey];
-    if (G.Waiters.empty())
-      G.OpenedAt = std::chrono::steady_clock::now();
-    G.Waiters.push_back(W);
-    if (G.Waiters.size() >= Config.MaxBatch) {
-      // The joiner that filled the batch runs the round itself: no
-      // handoff latency, and a full group never waits on the ager.
-      Full = std::move(G);
-      Groups.erase(GroupKey);
-      FlushNow = true;
-    }
-  }
-  if (FlushNow)
-    flushGroup(GroupKey, std::move(Full));
-
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Cv.wait(Lock, [&] { return W->Done; });
-  if (W->Failure)
-    return std::move(W->Failure);
-  return W->Result;
-}
-
-void AttestationBatcher::flushAll() {
-  std::map<std::array<uint8_t, 32>, Group> Pending;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Pending.swap(Groups);
-  }
-  for (auto &[Key, G] : Pending)
-    flushGroup(Key, std::move(G));
-}
-
-void AttestationBatcher::agerThread() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  while (!Stopping) {
-    Cv.wait_for(Lock, std::chrono::milliseconds(
-                          std::max(1, Config.MaxDelayMs / 2 + 1)));
-    if (Stopping)
-      return;
-    auto Now = std::chrono::steady_clock::now();
-    auto Cutoff = Now - std::chrono::milliseconds(Config.MaxDelayMs);
-    // Collect aged groups under the lock, flush them outside it (the
-    // round does network IO and crypto).
-    std::vector<std::pair<std::array<uint8_t, 32>, Group>> Aged;
-    for (auto It = Groups.begin(); It != Groups.end();) {
-      if (It->second.OpenedAt <= Cutoff) {
-        Aged.emplace_back(It->first, std::move(It->second));
-        It = Groups.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    if (Aged.empty())
-      continue;
-    Lock.unlock();
-    for (auto &[Key, G] : Aged)
-      flushGroup(Key, std::move(G));
-    Lock.lock();
-  }
-}
-
-void AttestationBatcher::flushGroup(const std::array<uint8_t, 32> &Key,
-                                    Group &&G) {
-  std::vector<X25519Key> Pubs;
-  Pubs.reserve(G.Waiters.size());
-  for (const auto &W : G.Waiters)
-    Pubs.push_back(W->ClientPub);
-
-  auto fail = [&](Error E) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Rounds;
-    ++FailedRounds;
-    for (auto &W : G.Waiters) {
-      W->Failure = makeError(E.code(), E.message());
-      W->Done = true;
-    }
-    Cv.notify_all();
-  };
-
-  std::array<uint8_t, 32> Binding = batchBindingHash(Pubs);
-  Expected<Bytes> Quote = QuoteFn(Key, Binding);
-  if (!Quote)
-    return fail(Quote.takeError());
-
-  Expected<Bytes> Response = Link.roundTrip(helloBatchFrame(*Quote, Pubs));
-  if (!Response)
-    return fail(Response.takeError());
-
-  Expected<std::vector<BatchSession>> Minted =
-      parseHelloBatchOkFrame(*Response);
-  if (!Minted)
-    return fail(Minted.takeError());
-  if (Minted->size() != G.Waiters.size())
-    return fail(makeError("hello-batch-ok names " +
-                          std::to_string(Minted->size()) + " sessions for " +
-                          std::to_string(G.Waiters.size()) + " joiners"));
-
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ++Rounds;
-  Sessions += Minted->size();
-  for (size_t I = 0; I < G.Waiters.size(); ++I) {
-    G.Waiters[I]->Result =
-        BatchJoinResult{(*Minted)[I].Sid, (*Minted)[I].ServerPub};
-    G.Waiters[I]->Done = true;
-  }
-  Cv.notify_all();
-}
-
-AttestationBatcher::Stats AttestationBatcher::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Stats S;
-  S.Rounds = Rounds;
-  S.Sessions = Sessions;
-  S.FailedRounds = FailedRounds;
-  return S;
 }

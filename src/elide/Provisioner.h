@@ -17,9 +17,8 @@
 /// cool-down), so a dead or drowning server stops costing a connect
 /// timeout on every exchange. A server that sheds load with a typed
 /// OVERLOADED frame parks the breaker for exactly the advertised
-/// retry-after instead of counting toward endpoint death. Optionally, a
-/// hedged second request fires at the next endpoint once the first has
-/// been in flight past a latency threshold.
+/// retry-after instead of counting toward endpoint death. A walk sends
+/// one request per endpoint attempt, on the caller's thread.
 ///
 /// The sealed-cache and local-blob tail of the chain lives in the enclave
 /// (TrustedLib's obtain-secrets order) and in ElideHost's crash-consistent
@@ -37,14 +36,10 @@
 #include "crypto/Drbg.h"
 #include "server/Transport.h"
 
-#include <array>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
-#include <map>
-#include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace elide {
@@ -55,8 +50,7 @@ namespace elide {
 
 /// Transitions the provisioning chain reports. Endpoint* events describe
 /// one attempt; Breaker* events describe breaker state changes; Cache*
-/// events come from ElideHost's sealed-cache persistence; Hedge* events
-/// trace the latency-hedging path.
+/// events come from ElideHost's sealed-cache persistence.
 enum class ProvisionEventKind {
   EndpointAttempt,    ///< A request is about to hit this endpoint.
   EndpointSuccess,    ///< The endpoint answered.
@@ -66,10 +60,7 @@ enum class ProvisionEventKind {
   BreakerOpened,      ///< Breaker tripped (Detail says why).
   BreakerHalfOpen,    ///< Cool-down elapsed; a probe request is admitted.
   BreakerClosed,      ///< Probe succeeded; endpoint back in rotation.
-  HedgeLaunched,      ///< Latency threshold passed; second request fired.
-  HedgeWon,           ///< The hedged request beat the primary.
-  HedgeSuppressed,    ///< Retry budget low: hedging auto-disabled.
-  RetryBudgetSpent,   ///< A failover retry or hedge spent one token.
+  RetryBudgetSpent,   ///< A failover retry spent one token.
   RetryBudgetExhausted, ///< The chain-wide retry budget ran dry mid-walk.
   FailoverExhausted,  ///< Every remote endpoint failed or was skipped.
   CacheWritten,       ///< Sealed cache persisted crash-consistently.
@@ -95,8 +86,9 @@ struct ProvisionEvent {
   std::string Detail;
 };
 
-/// Observation hook. May be invoked from hedge worker threads; the
-/// callback must be thread-safe if hedging is enabled.
+/// Observation hook. A Provisioner runs it on the thread that called
+/// `roundTrip`, with its lock held, so it must not call back into that
+/// Provisioner.
 using ProvisionEventCallback = std::function<void(const ProvisionEvent &)>;
 
 //===----------------------------------------------------------------------===//
@@ -175,21 +167,17 @@ struct ProvisionerConfig {
   /// Breaker template applied to every endpoint (the jitter seed is
   /// perturbed per endpoint so cool-downs de-correlate).
   BreakerConfig Breaker;
-  /// Hedging: when >= 0 and a further endpoint is available, a request
-  /// still in flight after this many milliseconds fires a second request
-  /// at the next endpoint and the first answer wins. < 0 disables.
-  int HedgeAfterMs = -1;
 
   //===- Chain-wide retry budget (metastable-failure defense) -------------===//
   //
-  // Retries and hedges amplify offered load exactly when the servers are
-  // slowest; unbounded, that positive feedback loop is what turns a
-  // transient overload into a metastable collapse. The budget is a token
-  // bucket shared by the whole chain: the first endpoint attempt of a
-  // roundTrip is free, every further attempt (failover retry or hedge)
-  // spends one token, and only *successes* earn tokens back -- so during
-  // an outage the amplification factor decays toward 1 instead of
-  // multiplying by the chain length.
+  // Retries amplify offered load exactly when the servers are slowest;
+  // unbounded, that positive feedback loop is what turns a transient
+  // overload into a metastable collapse. The budget is a token bucket
+  // shared by the whole chain: the first endpoint attempt of a roundTrip
+  // is free, every further attempt (a failover retry) spends one token,
+  // and only *successes* earn tokens back -- so during an outage the
+  // amplification factor decays toward 1 instead of multiplying by the
+  // chain length.
 
   /// Initial token balance; < 0 disables the budget entirely (legacy
   /// unbounded-retry behavior, the ablation baseline).
@@ -200,10 +188,6 @@ struct ProvisionerConfig {
   /// are capped near 10% of successful traffic -- the classic retry
   /// budget ratio.
   double RetryBudgetEarnPerSuccess = 0.1;
-  /// Hedging is an optimization, not a correctness tool: auto-disable it
-  /// while the balance sits below this watermark so speculative load is
-  /// the first thing shed when the budget tightens.
-  double HedgeDisableBelow = 2.0;
 };
 
 /// The remote head of the failover chain. Implements `Transport`, so the
@@ -212,7 +196,6 @@ struct ProvisionerConfig {
 class Provisioner : public Transport {
 public:
   explicit Provisioner(ProvisionerConfig Config = ProvisionerConfig());
-  ~Provisioner() override;
 
   /// Appends an endpoint to the chain (tried in insertion order).
   void addEndpoint(std::string Name, Transport *Link);
@@ -225,15 +208,13 @@ public:
   /// The breaker state of endpoint \p Index (tests and tools read this).
   BreakerState breakerState(size_t Index) const;
 
-  /// Current retry-budget token balance (tests, tools, bench JSON).
-  /// Returns RetryBudgetMax-equivalent semantics only when the budget is
-  /// enabled; with the budget disabled this reports +infinity-like
-  /// behavior as -1.
+  /// Current retry-budget token balance, or -1 when the budget is
+  /// disabled (tests, tools, bench JSON).
   double retryBudget() const;
 
-  /// Walks the chain: skips open breakers, tries endpoints in order
-  /// (hedging when configured), classifies overload distinctly from
-  /// death, and returns the first answer -- or a typed error
+  /// Walks the chain: skips open breakers, tries endpoints in order with
+  /// one request each, classifies overload distinctly from death, and
+  /// returns the first answer -- or a typed error
   /// (`Overloaded`, `BreakerOpen`, or `AllEndpointsFailed`) when the
   /// whole remote chain is down.
   Expected<Bytes> roundTrip(BytesView Request) override;
@@ -253,6 +234,7 @@ private:
     uint32_t RetryAfterMs = 0;
   };
 
+  /// Reports \p Event to the callback. Caller holds Mutex.
   void emit(const ProvisionEvent &Event) const;
   /// Runs the breaker gate for endpoint \p I under the lock, emitting
   /// skip/half-open events. Returns true when the endpoint may be tried.
@@ -267,126 +249,15 @@ private:
   static Outcome classify(Expected<Bytes> Result);
   /// Updates breaker + events for endpoint \p I after an attempt.
   void recordOutcome(size_t I, const Outcome &O);
-  /// Plain attempt against endpoint \p I (no hedging).
+  /// One attempt against endpoint \p I.
   Outcome attempt(size_t I, BytesView Request);
-  /// Hedged attempt: primary \p I, hedge partner \p J.
-  Outcome hedgedAttempt(size_t I, size_t J, BytesView Request,
-                        bool &PartnerConsumed);
 
   ProvisionerConfig Config;
   mutable std::mutex Mutex;
   std::vector<Endpoint> Endpoints;          ///< Guarded by Mutex.
   ProvisionEventCallback Callback;          ///< Guarded by Mutex.
-  std::vector<std::thread> Stragglers;      ///< Guarded by Mutex.
   bool BudgetEnabled = false;               ///< Set once in the ctor.
   double RetryBudget = 0.0;                 ///< Guarded by Mutex.
-};
-
-//===----------------------------------------------------------------------===//
-// Attestation batching
-//===----------------------------------------------------------------------===//
-
-/// One minted session handed back to a batch joiner.
-struct BatchJoinResult {
-  uint64_t Sid = 0;
-  X25519Key ServerPub{};
-};
-
-/// Tuning for the client-side attestation batcher.
-struct AttestationBatcherConfig {
-  /// Sessions per HELLO-BATCH round; a group flushes as soon as it
-  /// reaches this many joiners (clamped to the protocol's
-  /// BatchMaxSessions).
-  size_t MaxBatch = 64;
-  /// A partial group older than this flushes anyway, bounding the latency
-  /// a lone joiner pays for amortization it is not getting.
-  int MaxDelayMs = 5;
-};
-
-/// Produces a serialized quote whose report data commits (in its first 32
-/// bytes) to \p BindingHash, attesting the enclave identified by
-/// \p GroupKey. In production this is an enclave quote request; tests and
-/// the load generator forge quotes with the scratch-enclave machinery.
-using BatchQuoteFn = std::function<Expected<Bytes>(
-    const std::array<uint8_t, 32> &GroupKey,
-    const std::array<uint8_t, 32> &BindingHash)>;
-
-/// Client-side attestation batching (the DynSGX-style amortization from
-/// the server's HELLO-BATCH frame, driven from the fleet side): joiners
-/// that share a measurement pool into one group, and one attestation
-/// round -- one quote, one signature verification on the server --
-/// provisions the whole group. Joiners with different measurements never
-/// share a round (the binding hash would not verify), so mixed fleets
-/// split into one group per measurement automatically.
-///
-/// `join` is thread-safe and blocking: it parks the caller until the
-/// round containing its key completes. A full group is flushed inline by
-/// the joiner that filled it; partial groups are flushed by a background
-/// ager after `MaxDelayMs`.
-class AttestationBatcher {
-public:
-  /// \p Link carries the HELLO-BATCH exchange and must be thread-safe.
-  AttestationBatcher(Transport &Link, BatchQuoteFn QuoteFn,
-                     const AttestationBatcherConfig &Config =
-                         AttestationBatcherConfig());
-  /// Flushes any still-pending groups (so no joiner hangs), then joins
-  /// the ager thread. Do not destroy while calls to `join` are entering.
-  ~AttestationBatcher();
-
-  AttestationBatcher(const AttestationBatcher &) = delete;
-  AttestationBatcher &operator=(const AttestationBatcher &) = delete;
-
-  /// Joins the group for \p GroupKey with \p ClientPub and blocks until
-  /// that group's attestation round completes, returning this joiner's
-  /// minted session.
-  Expected<BatchJoinResult> join(const std::array<uint8_t, 32> &GroupKey,
-                                 const X25519Key &ClientPub);
-
-  /// Flushes every pending group now (tests and drain paths).
-  void flushAll();
-
-  /// Amortization accounting.
-  struct Stats {
-    size_t Rounds = 0;         ///< HELLO-BATCH rounds attempted.
-    size_t Sessions = 0;       ///< Sessions minted by successful rounds.
-    size_t FailedRounds = 0;   ///< Rounds whose exchange or parse failed.
-    /// Sessions per round -- the factor the batching buys over
-    /// one-HELLO-per-session provisioning.
-    double amortization() const {
-      return Rounds ? static_cast<double>(Sessions) / Rounds : 0.0;
-    }
-  };
-  Stats stats() const;
-
-private:
-  struct Waiter {
-    X25519Key ClientPub{};
-    bool Done = false;
-    Error Failure;            ///< Set when the round failed.
-    BatchJoinResult Result;   ///< Valid when Done && !Failure.
-  };
-  struct Group {
-    std::vector<std::shared_ptr<Waiter>> Waiters;
-    std::chrono::steady_clock::time_point OpenedAt;
-  };
-
-  /// Runs one attestation round for \p G (outside the lock) and
-  /// distributes results to its waiters.
-  void flushGroup(const std::array<uint8_t, 32> &Key, Group &&G);
-  void agerThread();
-
-  Transport &Link;
-  BatchQuoteFn QuoteFn;
-  AttestationBatcherConfig Config;
-
-  mutable std::mutex Mutex;
-  std::condition_variable Cv;
-  std::map<std::array<uint8_t, 32>, Group> Groups; ///< Guarded by Mutex.
-  bool Stopping = false;                           ///< Guarded by Mutex.
-  size_t Rounds = 0;                               ///< Guarded by Mutex.
-  size_t Sessions = 0;                             ///< Guarded by Mutex.
-  size_t FailedRounds = 0;                         ///< Guarded by Mutex.
-  std::thread Ager;
 };
 
 } // namespace elide

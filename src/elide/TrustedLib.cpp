@@ -56,14 +56,13 @@ uint64_t channelInit(Enclave &E, ElideState &S) {
   Expected<Bytes> Response = E.hostOcall(OcallServerRequest, Hello);
   if (!Response)
     return 11;
-  if (Response->size() != HelloOkSize || (*Response)[0] != FrameHello)
+  Expected<HelloOk> Ok = parseHelloOkFrame(*Response);
+  if (!Ok)
     return 12; // Server rejected the attestation.
 
-  S.Sid = readLE64(Response->data() + 1);
-  X25519Key ServerPub;
-  std::memcpy(ServerPub.data(), Response->data() + 1 + SessionIdSize, 32);
-  X25519Key Shared = x25519(S.Priv, ServerPub);
-  S.Keys = deriveSessionKeys(Shared, S.Pub, ServerPub);
+  S.Sid = Ok->Sid;
+  X25519Key Shared = x25519(S.Priv, Ok->ServerPub);
+  S.Keys = deriveSessionKeys(Shared, S.Pub, Ok->ServerPub);
   return 0;
 }
 

@@ -6,7 +6,6 @@
 
 #include "server/AuthServer.h"
 
-#include "crypto/CryptoEqual.h"
 #include "sgx/Attestation.h"
 
 #include <chrono>
@@ -171,24 +170,11 @@ Bytes AuthServer::handle(BytesView Request, const FrameContext &Ctx) {
   case FrameHello:
     Kind = SkHello;
     break;
-  case FrameHelloBatch:
-    Kind = SkHelloBatch;
-    break;
   case FrameRecord:
     Kind = SkRecord;
     break;
   default:
     return errorFrame("unknown frame type " + std::to_string(Inner[0]));
-  }
-
-  // In Shed, batch amortization is a luxury: one HELLO-BATCH pins a
-  // worker for the whole key list, which is exactly the head-of-line
-  // blocking a drowning server cannot afford. Clients fall back to
-  // single HELLOs that interleave with everything else.
-  if (Now == BrownoutMode::Shed && Kind == SkHelloBatch) {
-    BatchSuppressed.fetch_add(1, std::memory_order_relaxed);
-    countShed(Env->Class);
-    return overloadedFrame(RetryAfter);
   }
 
   // Admission control: when the remaining budget (after queue delay)
@@ -207,20 +193,7 @@ Bytes AuthServer::handle(BytesView Request, const FrameContext &Ctx) {
   }
 
   auto T0 = std::chrono::steady_clock::now();
-  Bytes Response;
-  switch (Kind) {
-  case SkHello:
-    Response = handleHello(Inner);
-    break;
-  case SkHelloBatch:
-    Response = handleHelloBatch(Inner);
-    break;
-  case SkRecord:
-    Response = handleRecord(Inner);
-    break;
-  default:
-    break;
-  }
+  Bytes Response = Kind == SkHello ? handleHello(Inner) : handleRecord(Inner);
   recordServiceTime(Kind,
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - T0)
@@ -240,13 +213,10 @@ AuthServerStats AuthServer::stats() const {
   S.SessionBudgetsExhausted =
       SessionBudgetsExhausted.load(std::memory_order_relaxed);
   S.StaleSessionRequests = StaleSessionRequests.load(std::memory_order_relaxed);
-  S.BatchHandshakes = BatchHandshakes.load(std::memory_order_relaxed);
-  S.BatchSessionsMinted = BatchSessionsMinted.load(std::memory_order_relaxed);
   S.DeadlineExpired = DeadlineExpired.load(std::memory_order_relaxed);
   S.ShedCritical = ShedCritical.load(std::memory_order_relaxed);
   S.ShedDefault = ShedDefault.load(std::memory_order_relaxed);
   S.ShedSheddable = ShedSheddable.load(std::memory_order_relaxed);
-  S.BatchSuppressed = BatchSuppressed.load(std::memory_order_relaxed);
   S.EnvelopeRejected = EnvelopeRejected.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(ControlMutex);
@@ -322,45 +292,6 @@ Bytes AuthServer::handleHello(BytesView Frame) {
   appendBytes(Response, BytesView(SidBytes, SessionIdSize));
   appendBytes(Response, BytesView(ServerPub.data(), 32));
   return Response;
-}
-
-Bytes AuthServer::handleHelloBatch(BytesView Frame) {
-  auto reject = [this](const std::string &Why) {
-    HandshakesRejected.fetch_add(1, std::memory_order_relaxed);
-    return errorFrame(Why);
-  };
-
-  Expected<HelloBatchRequest> Req = parseHelloBatchFrame(Frame);
-  if (!Req)
-    return reject(Req.errorMessage());
-
-  Expected<sgx::ReportBody> Body = verifyAttestation(Req->Quote);
-  if (!Body)
-    return reject(Body.errorMessage());
-
-  // The quote's report data must commit to this exact key list: one
-  // attested signature vouches for the whole batch, and nobody can splice
-  // a key into (or out of) someone else's batch without breaking the hash.
-  std::array<uint8_t, 32> Binding = batchBindingHash(Req->ClientPubs);
-  if (!cryptoEqual(Binding.data(), Body->Data.data(), 32))
-    return reject("batch binding hash does not match the attested "
-                  "report data");
-
-  std::vector<BatchSession> Minted;
-  Minted.reserve(Req->ClientPubs.size());
-  for (const X25519Key &ClientPub : Req->ClientPubs) {
-    BatchSession S;
-    SessionKeys Keys = makeSessionKeys(ClientPub, S.ServerPub);
-    S.Sid = Store.mint(Keys);
-    Minted.push_back(S);
-  }
-
-  // One attestation round, many sessions: this is the amortization the
-  // batch frame exists for.
-  HandshakesCompleted.fetch_add(1, std::memory_order_relaxed);
-  BatchHandshakes.fetch_add(1, std::memory_order_relaxed);
-  BatchSessionsMinted.fetch_add(Minted.size(), std::memory_order_relaxed);
-  return helloBatchOkFrame(Minted);
 }
 
 Bytes AuthServer::handleRecord(BytesView Frame) {

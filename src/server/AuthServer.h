@@ -19,8 +19,7 @@
 /// Built for fleet scale: session state lives in a mutex-striped
 /// `SessionStore` (no global session lock), usage counters are atomics,
 /// and the only remaining lock is a tiny RNG stripe held just long
-/// enough to draw key/IV bytes. A HELLO-BATCH frame amortizes one quote
-/// verification over a whole batch of enclaves sharing a measurement.
+/// enough to draw key/IV bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,10 +49,7 @@ namespace elide {
 ///            EWMA < DegradedMs/2        EWMA < ShedMs/2
 ///
 /// Degraded sheds Sheddable traffic and quadruples retry-after hints;
-/// Shed also sheds Default traffic, suppresses HELLO-BATCH amortization
-/// (one batch frame pins a worker for the whole key list -- exactly the
-/// head-of-line blocking a drowning server cannot afford), and multiplies
-/// retry-after hints by 16.
+/// Shed also sheds Default traffic and multiplies retry-after hints by 16.
 enum class BrownoutMode { Normal, Degraded, Shed };
 
 /// Human-readable brownout mode name (stats, logs, bench JSON).
@@ -104,8 +100,7 @@ struct AuthServerConfig {
 };
 
 /// Usage counters (benchmarks read these). `HandshakesCompleted` counts
-/// attestation rounds (one per HELLO *or* HELLO-BATCH); the batch fields
-/// expose the amortization the batching buys.
+/// attestation rounds, one per accepted HELLO.
 struct AuthServerStats {
   size_t HandshakesCompleted = 0;
   size_t HandshakesRejected = 0;
@@ -118,10 +113,6 @@ struct AuthServerStats {
   /// RECORD frames naming a session the server no longer knows (evicted,
   /// restarted, or recycled); answered with a typed re-attest ERROR.
   size_t StaleSessionRequests = 0;
-  /// Successful HELLO-BATCH rounds (each also counts one handshake).
-  size_t BatchHandshakes = 0;
-  /// Sessions minted by HELLO-BATCH rounds.
-  size_t BatchSessionsMinted = 0;
   /// Requests expired by admission control: their remaining deadline
   /// could not cover the measured service time, so the server refused
   /// them *before* spending crypto on an answer nobody would wait for.
@@ -130,8 +121,6 @@ struct AuthServerStats {
   size_t ShedCritical = 0;
   size_t ShedDefault = 0;
   size_t ShedSheddable = 0;
-  /// HELLO-BATCH frames refused because the brownout mode was Shed.
-  size_t BatchSuppressed = 0;
   /// Envelope frames rejected by strict parsing.
   size_t EnvelopeRejected = 0;
   /// Brownout mode changes since start (tests assert hysteresis with it).
@@ -174,10 +163,9 @@ private:
   /// Service-time EWMA buckets, one per inner frame kind (handshake cost
   /// and record cost differ by orders of magnitude; one blended average
   /// would make admission control wrong for both).
-  enum ServiceKind { SkHello = 0, SkHelloBatch = 1, SkRecord = 2, SkCount = 3 };
+  enum ServiceKind { SkHello = 0, SkRecord = 1, SkCount = 2 };
 
   Bytes handleHello(BytesView Frame);
-  Bytes handleHelloBatch(BytesView Frame);
   Bytes handleRecord(BytesView Frame);
 
   /// Folds one queue-delay sample into the EWMA and walks the brownout
@@ -213,13 +201,10 @@ private:
   std::atomic<size_t> RequestsShed{0};
   std::atomic<size_t> SessionBudgetsExhausted{0};
   std::atomic<size_t> StaleSessionRequests{0};
-  std::atomic<size_t> BatchHandshakes{0};
-  std::atomic<size_t> BatchSessionsMinted{0};
   std::atomic<size_t> DeadlineExpired{0};
   std::atomic<size_t> ShedCritical{0};
   std::atomic<size_t> ShedDefault{0};
   std::atomic<size_t> ShedSheddable{0};
-  std::atomic<size_t> BatchSuppressed{0};
   std::atomic<size_t> EnvelopeRejected{0};
 
   /// Brownout controller and admission-control state. One small mutex for

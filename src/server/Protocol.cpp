@@ -7,7 +7,6 @@
 #include "server/Protocol.h"
 
 #include "crypto/Hkdf.h"
-#include "crypto/Sha256.h"
 
 #include <cstring>
 
@@ -25,6 +24,17 @@ SessionKeys elide::deriveSessionKeys(const X25519Key &Shared,
   std::memcpy(Keys.ClientToServer.data(), Okm.data(), 16);
   std::memcpy(Keys.ServerToClient.data(), Okm.data() + 16, 16);
   return Keys;
+}
+
+Expected<HelloOk> elide::parseHelloOkFrame(BytesView Frame) {
+  if (!Frame.empty() && Frame[0] == FrameError)
+    return makeError("peer error: " + stringOfBytes(Frame.subspan(1)));
+  if (Frame.size() != HelloOkSize || Frame[0] != FrameHello)
+    return makeError("not a hello-ok frame");
+  HelloOk Ok;
+  Ok.Sid = readLE64(Frame.data() + 1);
+  std::memcpy(Ok.ServerPub.data(), Frame.data() + 1 + SessionIdSize, 32);
+  return Ok;
 }
 
 Expected<Bytes> elide::sealRecord(const Aes128Key &Key, BytesView Plaintext,
@@ -102,97 +112,6 @@ Expected<Bytes> elide::openSessionRecord(const Aes128Key &Key,
   std::memcpy(Tag.data(), Frame.data() + 1 + SessionIdSize + 12, 16);
   BytesView Ciphertext = Frame.subspan(1 + SessionIdSize + 12 + 16);
   return aesGcmDecrypt(BytesView(Key.data(), 16), Iv, Ciphertext, Sid, Tag);
-}
-
-//===----------------------------------------------------------------------===//
-// Batched handshake
-//===----------------------------------------------------------------------===//
-
-std::array<uint8_t, 32>
-elide::batchBindingHash(const std::vector<X25519Key> &ClientPubs) {
-  Sha256 H;
-  H.update(viewOf(std::string("SGXELIDE-BATCH-V1")));
-  uint8_t Count[2];
-  writeLE16(Count, static_cast<uint16_t>(ClientPubs.size()));
-  H.update(BytesView(Count, 2));
-  for (const X25519Key &Pub : ClientPubs)
-    H.update(BytesView(Pub.data(), 32));
-  return H.final();
-}
-
-Bytes elide::helloBatchFrame(BytesView Quote,
-                             const std::vector<X25519Key> &ClientPubs) {
-  Bytes Frame;
-  Frame.push_back(FrameHelloBatch);
-  uint8_t Count[2];
-  writeLE16(Count, static_cast<uint16_t>(ClientPubs.size()));
-  appendBytes(Frame, BytesView(Count, 2));
-  appendLE32(Frame, static_cast<uint32_t>(Quote.size()));
-  appendBytes(Frame, Quote);
-  for (const X25519Key &Pub : ClientPubs)
-    appendBytes(Frame, BytesView(Pub.data(), 32));
-  return Frame;
-}
-
-Expected<HelloBatchRequest> elide::parseHelloBatchFrame(BytesView Frame) {
-  if (Frame.size() < 1 + 2 + 4 || Frame[0] != FrameHelloBatch)
-    return makeError("not a hello-batch frame");
-  size_t Count = readLE16(Frame.data() + 1);
-  if (Count == 0)
-    return makeError("hello-batch names zero sessions");
-  if (Count > BatchMaxSessions)
-    return makeError("hello-batch too large: " + std::to_string(Count) +
-                     " sessions (cap " + std::to_string(BatchMaxSessions) +
-                     ")");
-  uint64_t QuoteLen = readLE32(Frame.data() + 3);
-  // 64-bit arithmetic: a hostile length cannot wrap the bounds check.
-  uint64_t Need = 1 + 2 + 4 + QuoteLen + 32ull * Count;
-  if (Frame.size() != Need)
-    return makeError("hello-batch frame size mismatch: have " +
-                     std::to_string(Frame.size()) + ", need " +
-                     std::to_string(Need));
-  HelloBatchRequest Req;
-  Req.Quote = Frame.subspan(7, QuoteLen);
-  Req.ClientPubs.resize(Count);
-  const uint8_t *P = Frame.data() + 7 + QuoteLen;
-  for (size_t I = 0; I < Count; ++I, P += 32)
-    std::memcpy(Req.ClientPubs[I].data(), P, 32);
-  return Req;
-}
-
-Bytes elide::helloBatchOkFrame(const std::vector<BatchSession> &Sessions) {
-  Bytes Frame;
-  Frame.push_back(FrameHelloBatch);
-  uint8_t Count[2];
-  writeLE16(Count, static_cast<uint16_t>(Sessions.size()));
-  appendBytes(Frame, BytesView(Count, 2));
-  for (const BatchSession &S : Sessions) {
-    uint8_t Sid[SessionIdSize];
-    writeLE64(Sid, S.Sid);
-    appendBytes(Frame, BytesView(Sid, SessionIdSize));
-    appendBytes(Frame, BytesView(S.ServerPub.data(), 32));
-  }
-  return Frame;
-}
-
-Expected<std::vector<BatchSession>>
-elide::parseHelloBatchOkFrame(BytesView Frame) {
-  if (!Frame.empty() && Frame[0] == FrameError)
-    return makeError("peer error: " + stringOfBytes(Frame.subspan(1)));
-  if (Frame.size() < 1 + 2 || Frame[0] != FrameHelloBatch)
-    return makeError("not a hello-batch-ok frame");
-  size_t Count = readLE16(Frame.data() + 1);
-  constexpr size_t PerSession = SessionIdSize + 32;
-  if (Count > BatchMaxSessions ||
-      Frame.size() != 1 + 2 + PerSession * Count)
-    return makeError("hello-batch-ok frame size mismatch");
-  std::vector<BatchSession> Sessions(Count);
-  const uint8_t *P = Frame.data() + 3;
-  for (size_t I = 0; I < Count; ++I, P += PerSession) {
-    Sessions[I].Sid = readLE64(P);
-    std::memcpy(Sessions[I].ServerPub.data(), P + SessionIdSize, 32);
-  }
-  return Sessions;
 }
 
 Bytes elide::errorFrame(const std::string &Message) {

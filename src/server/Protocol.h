@@ -40,20 +40,13 @@
 #include "support/Bytes.h"
 #include "support/Error.h"
 
-#include <array>
 #include <optional>
-#include <vector>
 
 namespace elide {
 
 /// Frame type bytes.
 constexpr uint8_t FrameHello = 0x01;
 constexpr uint8_t FrameRecord = 0x02;
-/// Batched handshake: one attested quote provisions many sessions for
-/// enclaves sharing a measurement (DynSGX-style amortization: the quote's
-/// report data binds the whole key list, so the expensive signature
-/// verification runs once per batch instead of once per enclave).
-constexpr uint8_t FrameHelloBatch = 0x03;
 constexpr uint8_t FrameError = 0xee;
 /// Load-shedding response: the server is up but refuses this exchange.
 /// Unlike ERROR (a verdict about the request), OVERLOADED is a statement
@@ -70,6 +63,16 @@ constexpr size_t SessionIdSize = 8;
 
 /// Wire size of a HELLO-OK frame: type || sid || server public key.
 constexpr size_t HelloOkSize = 1 + SessionIdSize + 32;
+
+/// A parsed HELLO-OK frame: the minted session and the server's half of
+/// the key exchange.
+struct HelloOk {
+  uint64_t Sid = 0;
+  X25519Key ServerPub{};
+};
+
+/// Parses a HELLO-OK frame (ERROR frames surface as errors).
+Expected<HelloOk> parseHelloOkFrame(BytesView Frame);
 
 /// Per-direction AES-128 session keys derived from the handshake.
 struct SessionKeys {
@@ -110,57 +113,6 @@ Expected<uint64_t> peekSessionId(BytesView Frame);
 /// it names was authenticated under \p Key.
 Expected<Bytes> openSessionRecord(const Aes128Key &Key, BytesView Frame);
 
-//===----------------------------------------------------------------------===//
-// Batched handshake (HELLO-BATCH)
-//===----------------------------------------------------------------------===//
-//
-// Frames:
-//   HELLO-BATCH    : 0x03 || count u16 || quote-len u32 || quote ||
-//                    count * client X25519 public key[32]
-//   HELLO-BATCH-OK : 0x03 || count u16 ||
-//                    count * (session id[8] || server X25519 public key[32])
-//
-// The quote's report data carries, in its first 32 bytes, the batch
-// binding hash: SHA-256 over a domain tag, the count, and the client
-// public keys in wire order. The attested enclave therefore vouches for
-// the *whole key list* with one signature; an attacker cannot splice a
-// key into someone else's batch without breaking the hash, and every
-// minted session still gets independent directional keys from its own
-// X25519 exchange.
-
-/// Hard cap on sessions per batch (bounds server work per frame).
-constexpr size_t BatchMaxSessions = 1024;
-
-/// The batch binding hash committed into the quote's report data.
-std::array<uint8_t, 32>
-batchBindingHash(const std::vector<X25519Key> &ClientPubs);
-
-/// Builds a HELLO-BATCH frame from a serialized quote and the key list.
-Bytes helloBatchFrame(BytesView Quote,
-                      const std::vector<X25519Key> &ClientPubs);
-
-/// Parsed client side of a HELLO-BATCH frame.
-struct HelloBatchRequest {
-  BytesView Quote; ///< Points into the parsed frame; copy to outlive it.
-  std::vector<X25519Key> ClientPubs;
-};
-
-/// Parses a HELLO-BATCH frame (including the leading type byte). The
-/// returned quote view aliases \p Frame.
-Expected<HelloBatchRequest> parseHelloBatchFrame(BytesView Frame);
-
-/// One minted session in a HELLO-BATCH-OK frame, in key-list order.
-struct BatchSession {
-  uint64_t Sid = 0;
-  X25519Key ServerPub{};
-};
-
-/// Builds a HELLO-BATCH-OK frame.
-Bytes helloBatchOkFrame(const std::vector<BatchSession> &Sessions);
-
-/// Parses a HELLO-BATCH-OK frame (ERROR frames surface as errors).
-Expected<std::vector<BatchSession>> parseHelloBatchOkFrame(BytesView Frame);
-
 /// Builds an ERROR frame.
 Bytes errorFrame(const std::string &Message);
 
@@ -179,7 +131,7 @@ bool errorAsksReattest(const std::string &Message);
 //
 // Frame:
 //   ENVELOPE : 0xc4 || version u8 || deadline_ms u32 || criticality u8 ||
-//              inner frame (HELLO / HELLO-BATCH / RECORD)
+//              inner frame (HELLO / RECORD)
 //
 // The envelope threads the production-RPC trio through the wire protocol:
 // a remaining-time deadline (milliseconds of budget left at send time;

@@ -6,7 +6,7 @@
 
 #include "sgx/Attestation.h"
 
-#include "crypto/Hmac.h"
+#include "crypto/CryptoEqual.h"
 #include "crypto/Sha256.h"
 
 #include <cstring>
@@ -71,8 +71,7 @@ Expected<Quote> QuotingEnclave::quoteReport(const Report &R) const {
   Aes128Key Key = Device.deriveKey128(
       "REPORT", BytesView(QeIdentity.data(), QeIdentity.size()));
   CmacTag Expect = aesCmac(Key, R.Body.serialize());
-  if (!constantTimeEqual(BytesView(Expect.data(), Expect.size()),
-                         BytesView(R.Mac.data(), R.Mac.size())))
+  if (!cryptoEqual(Expect.data(), R.Mac.data(), Expect.size()))
     return makeError("quoting enclave rejected the report: MAC mismatch "
                      "(report was not generated on this device or was "
                      "tampered with)");

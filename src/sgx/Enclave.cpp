@@ -7,7 +7,7 @@
 #include "sgx/Enclave.h"
 
 #include "crypto/AesGcm.h"
-#include "crypto/Hmac.h"
+#include "crypto/CryptoEqual.h"
 #include "vm/ExecBackend.h"
 
 #include <cstdio>
@@ -237,8 +237,7 @@ bool Enclave::verifyReportForMe(const Report &R) const {
   Aes128Key Key = Device.deriveKey128(
       "REPORT", BytesView(MrEnclave.data(), MrEnclave.size()));
   CmacTag Expect = aesCmac(Key, R.Body.serialize());
-  return constantTimeEqual(BytesView(Expect.data(), Expect.size()),
-                           BytesView(R.Mac.data(), R.Mac.size()));
+  return cryptoEqual(Expect.data(), R.Mac.data(), Expect.size());
 }
 
 Aes128Key Enclave::sealKeyFor(SealPolicy Policy, BytesView KeyId) const {

@@ -44,6 +44,10 @@ struct AppCase {
   Config Mode;
 };
 
+void PrintTo(const AppCase &C, std::ostream *OS) {
+  *OS << C.App << "/" << configName(C.Mode);
+}
+
 class AppWorkloadTest : public ::testing::TestWithParam<AppCase> {};
 
 TEST_P(AppWorkloadTest, BuiltInSuitePasses) {

@@ -31,7 +31,6 @@ TEST(LoadGenSmokeTest, ClosedLoopRunEmitsCompleteReport) {
   Config.DurationMs = 2000;
   Config.Workers = 4;
   Config.Connections = 32;
-  Config.BatchSize = 8;
   Config.ServerWorkers = 2;
   Config.TargetSessions = 300; // Usually ends the run well before 2s.
   Config.Seed = 42;
@@ -52,14 +51,11 @@ TEST(LoadGenSmokeTest, ClosedLoopRunEmitsCompleteReport) {
   EXPECT_LE(Report->LatencyMs.P50, Report->LatencyMs.P95);
   EXPECT_LE(Report->LatencyMs.P95, Report->LatencyMs.P99);
 
-  // Batching actually amortized: fewer rounds than sessions.
-  EXPECT_GT(Report->BatchRounds, 0u);
-  EXPECT_EQ(Report->BatchSessionsMinted, Report->RestoresTotal);
-  EXPECT_GT(Report->BatchAmortization, 1.0);
-  EXPECT_LT(Report->BatchRounds, Report->RestoresTotal);
-
-  // Server-side accounting agrees with the client's view.
-  EXPECT_EQ(Report->Server.BatchSessionsMinted, Report->RestoresTotal);
+  // Server-side accounting agrees with the client's view: one HELLO per
+  // restore, so every success and at most every failure cost a handshake.
+  EXPECT_GE(Report->Server.HandshakesCompleted, Report->RestoresTotal);
+  EXPECT_LE(Report->Server.HandshakesCompleted,
+            Report->RestoresTotal + Report->RestoresFailed);
   EXPECT_EQ(Report->Reactor.ReadTimeouts, 0u);
 
   // The JSON artifact round-trips through disk with every required field.
@@ -76,7 +72,7 @@ TEST(LoadGenSmokeTest, ClosedLoopRunEmitsCompleteReport) {
   for (const char *Field :
        {"\"bench\": \"provisioning_loadgen\"", "\"restores_total\"",
         "\"restores_per_sec\"", "\"p50\"", "\"p95\"", "\"p99\"",
-        "\"shed_rate\"", "\"amortization\"", "\"rounds\"",
+        "\"shed_rate\"", "\"handshakes_completed\"",
         "\"max_concurrent_sessions\"", "\"max_concurrent_connections\"",
         "\"duration_s\"", "\"restores_failed\""})
     EXPECT_NE(Json.find(Field), std::string::npos)

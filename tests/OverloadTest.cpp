@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <thread>
 
 using namespace elide;
 using elide::testing::ChaosSeedScope;
@@ -248,26 +247,6 @@ TEST(OverloadShedTest, SheddableGoesFirstDefaultNextCriticalLast) {
   EXPECT_EQ(S.RequestsShed, 3u);
 }
 
-TEST(OverloadShedTest, HelloBatchSuppressedInShedMode) {
-  AuthServer Server(bareServerConfig(/*DegradedMs=*/10.0, /*ShedMs=*/100.0));
-  // Even a Critical batch is refused in Shed: the suppression is about
-  // head-of-line blocking, not about who is asking.
-  Bytes Batch = envelopeFrame(
-      0, Criticality::Critical,
-      Bytes{FrameHelloBatch, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00});
-
-  // Normal mode serves batches (to a parse error on this garbage one).
-  Bytes Served = Server.handle(Batch, delayed(0.0));
-  EXPECT_FALSE(overloadedRetryAfterMs(Served).has_value());
-  EXPECT_EQ(Server.stats().BatchSuppressed, 0u);
-
-  Bytes Refused = Server.handle(Batch, delayed(200.0));
-  EXPECT_TRUE(overloadedRetryAfterMs(Refused).has_value());
-  AuthServerStats S = Server.stats();
-  EXPECT_EQ(S.BatchSuppressed, 1u);
-  EXPECT_EQ(S.ShedCritical, 1u); // Counted against the suppressed class.
-}
-
 //===----------------------------------------------------------------------===//
 // Client-side deadline propagation
 //===----------------------------------------------------------------------===//
@@ -379,35 +358,6 @@ TEST(OverloadBudgetTest, SuccessesEarnTokensBackUpToTheCap) {
   // A disabled budget reports the sentinel, not a balance.
   Provisioner Unbounded((ProvisionerConfig()));
   EXPECT_DOUBLE_EQ(Unbounded.retryBudget(), -1.0);
-}
-
-TEST(OverloadBudgetTest, LowBudgetSuppressesHedging) {
-  StubTransport Slow([](BytesView) -> Expected<Bytes> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return Bytes{FrameRecord, 0xaa};
-  });
-  StubTransport Fast(
-      [](BytesView) -> Expected<Bytes> { return Bytes{FrameRecord, 0xbb}; });
-
-  ProvisionerConfig Config = budgetConfig(/*Initial=*/1.0); // Below 2.0.
-  Config.HedgeAfterMs = 0; // Would hedge immediately if allowed.
-  Provisioner Prov(Config);
-  Prov.addEndpoint("slow", &Slow);
-  Prov.addEndpoint("fast", &Fast);
-
-  size_t Launched = 0, Suppressed = 0;
-  Prov.setEventCallback([&](const ProvisionEvent &Event) {
-    Launched += Event.Kind == ProvisionEventKind::HedgeLaunched;
-    Suppressed += Event.Kind == ProvisionEventKind::HedgeSuppressed;
-  });
-
-  Expected<Bytes> R = Prov.roundTrip(garbageRecord());
-  ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
-  EXPECT_EQ((*R)[1], 0xaa); // The primary's answer, not the hedge's.
-  EXPECT_EQ(Launched, 0u);
-  EXPECT_EQ(Suppressed, 1u);
-  // The suppressed hedge spent nothing; the success even earned.
-  EXPECT_GT(Prov.retryBudget(), 1.0 - 1e-9);
 }
 
 //===----------------------------------------------------------------------===//

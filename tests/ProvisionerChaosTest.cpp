@@ -8,9 +8,9 @@
 /// Chaos validation of the provisioning resilience layer (`ctest -L
 /// chaos`): endpoints die mid-handshake, every endpoint goes down at once,
 /// the host crashes between temp-file write and rename, cached blobs
-/// arrive torn, servers shed load, breakers trip and recover, hedged
-/// requests race. Each scenario is driven by seeded fault injection or
-/// explicit crash points, so failures reproduce deterministically.
+/// arrive torn, servers shed load, breakers trip and recover. Each
+/// scenario is driven by seeded fault injection or explicit crash points,
+/// so failures reproduce deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,11 +64,10 @@ export fn run_secret(inp: *u8, inlen: u64, outp: *u8, outcap: u64) -> u64 {
 uint64_t referenceSecret(uint64_t X) { return X * 33 + 0xe11de; }
 
 /// A scriptable endpoint stand-in: succeeds (echoing through a wrapped
-/// transport or a fixed reply), fails hard, sheds load, or answers
-/// slowly. Mode switches are atomic so hedge worker threads may race it.
+/// transport or a fixed reply), fails hard, or sheds load.
 class StubTransport : public Transport {
 public:
-  enum class Mode { Ok, Fail, Overload, SlowOk };
+  enum class Mode { Ok, Fail, Overload };
 
   explicit StubTransport(Transport *Inner = nullptr) : Inner(Inner) {}
 
@@ -76,9 +75,6 @@ public:
     Calls.fetch_add(1);
     switch (M.load()) {
     case Mode::Ok:
-      break;
-    case Mode::SlowOk:
-      std::this_thread::sleep_for(std::chrono::milliseconds(SlowMs));
       break;
     case Mode::Fail:
       return makeTransportError(TransportErrc::ConnectFailed,
@@ -94,7 +90,6 @@ public:
   Transport *Inner;
   std::atomic<Mode> M{Mode::Ok};
   std::atomic<int> Calls{0};
-  int SlowMs = 150;
   uint32_t RetryAfterMs = 40;
 };
 
@@ -640,52 +635,6 @@ TEST(OverloadChaosTest, SessionBudgetForcesReattestation) {
   EXPECT_EQ(*Host.restore(**E), RestoreOk);
   expectRestored(**E);
   EXPECT_EQ(Budgeted->Servers[0]->stats().SessionBudgetsExhausted, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Hedged requests
-//===----------------------------------------------------------------------===//
-
-TEST(HedgeChaosTest, HedgeFiresPastThresholdAndWins) {
-  StubTransport Slow, Fast;
-  Slow.M = StubTransport::Mode::SlowOk;
-  Slow.SlowMs = 300;
-  ProvisionerConfig Config;
-  Config.HedgeAfterMs = 10;
-  EventLog Log;
-  Bytes Ping = {9, 9, 9};
-  {
-    Provisioner Chain(Config);
-    Chain.addEndpoint("slow", &Slow);
-    Chain.addEndpoint("fast", &Fast);
-    Chain.setEventCallback(std::ref(Log));
-
-    Expected<Bytes> R = Chain.roundTrip(Ping);
-    ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
-    EXPECT_EQ(*R, Ping);
-    EXPECT_TRUE(Log.has(ProvisionEventKind::HedgeLaunched));
-    EXPECT_TRUE(Log.has(ProvisionEventKind::HedgeWon));
-    EXPECT_EQ(Fast.Calls.load(), 1);
-  } // The destructor joins the slow straggler before Slow goes away.
-  EXPECT_EQ(Slow.Calls.load(), 1);
-}
-
-TEST(HedgeChaosTest, PrimaryUnderThresholdNeverHedges) {
-  StubTransport Quick, Spare;
-  ProvisionerConfig Config;
-  Config.HedgeAfterMs = 2000;
-  Provisioner Chain(Config);
-  Chain.addEndpoint("quick", &Quick);
-  Chain.addEndpoint("spare", &Spare);
-  EventLog Log;
-  Chain.setEventCallback(std::ref(Log));
-
-  Bytes Ping = {4};
-  Expected<Bytes> R = Chain.roundTrip(Ping);
-  ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
-  EXPECT_EQ(*R, Ping);
-  EXPECT_EQ(Spare.Calls.load(), 0);
-  EXPECT_FALSE(Log.has(ProvisionEventKind::HedgeLaunched));
 }
 
 //===----------------------------------------------------------------------===//

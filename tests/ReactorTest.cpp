@@ -8,9 +8,8 @@
 /// The `ctest -L server` suite: the event-driven reactor under adversarial
 /// clients (slow-loris dribble, stalled readers, connection floods,
 /// mid-drain shutdowns), the mutex-striped session store under
-/// contention, the HELLO-BATCH amortization path end to end, and a
-/// seeded fault-injection soak that doubles as the TSan exercise for the
-/// whole transport core.
+/// contention, and a seeded fault-injection soak that doubles as the TSan
+/// exercise for the whole transport core.
 ///
 /// Reactor tests drive raw sockets rather than TcpClientTransport where
 /// the *misbehavior* is the point -- a well-behaved client cannot
@@ -18,7 +17,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "elide/Provisioner.h"
 #include "server/AuthServer.h"
 #include "server/FaultInjection.h"
 #include "server/Reactor.h"
@@ -35,7 +33,6 @@
 #include <arpa/inet.h>
 #include <atomic>
 #include <cstring>
-#include <map>
 #include <netinet/in.h>
 #include <optional>
 #include <sys/socket.h>
@@ -445,7 +442,7 @@ TEST(SessionStoreTest, StripedStoreSurvivesContention) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched provisioning (HELLO-BATCH end to end)
+// Seeded fault soak (the TSan exercise for the whole transport core)
 //===----------------------------------------------------------------------===//
 
 /// Forges quotes the way ServerTest does: a scratch enclave on a
@@ -487,230 +484,19 @@ struct QuoteRig {
     return AuthServer(std::move(Config));
   }
 
-  Expected<Bytes> quoteFor(const std::array<uint8_t, 32> &Binding) {
+  /// The HELLO the shipped restorer sends: a quote whose report data
+  /// leads with the channel key \p ClientPub.
+  Expected<Bytes> helloFor(const X25519Key &ClientPub) {
     std::lock_guard<std::mutex> Lock(Mutex);
     sgx::ReportData Rd{};
-    std::memcpy(Rd.data(), Binding.data(), 32);
+    std::memcpy(Rd.data(), ClientPub.data(), 32);
     sgx::Report R = Enclave->createReport(Qe.targetInfo(), Rd);
     ELIDE_TRY(sgx::Quote Q, Qe.quoteReport(R));
-    return Q.serialize();
+    Bytes Hello{FrameHello};
+    appendBytes(Hello, Q.serialize());
+    return Hello;
   }
 };
-
-TEST(BatchProvisioningTest, OneQuoteMintsManyUsableSessions) {
-  QuoteRig Rig;
-  AuthServer Server = Rig.makeServer();
-
-  constexpr size_t K = 5;
-  Drbg Rng(21);
-  std::vector<X25519Key> Privs(K), Pubs(K);
-  for (size_t I = 0; I < K; ++I) {
-    Rng.fill(MutableBytesView(Privs[I].data(), 32));
-    Pubs[I] = x25519PublicKey(Privs[I]);
-  }
-  Expected<Bytes> Quote = Rig.quoteFor(batchBindingHash(Pubs));
-  ASSERT_TRUE(static_cast<bool>(Quote)) << Quote.errorMessage();
-
-  Bytes Resp = Server.handle(helloBatchFrame(*Quote, Pubs));
-  Expected<std::vector<BatchSession>> Minted = parseHelloBatchOkFrame(Resp);
-  ASSERT_TRUE(static_cast<bool>(Minted)) << Minted.errorMessage();
-  ASSERT_EQ(Minted->size(), K);
-
-  // Every minted session carries working directional keys.
-  for (size_t I = 0; I < K; ++I) {
-    SessionKeys Keys = deriveSessionKeys(
-        x25519(Privs[I], (*Minted)[I].ServerPub), Pubs[I],
-        (*Minted)[I].ServerPub);
-    Expected<Bytes> Req = sealSessionRecord((*Minted)[I].Sid,
-                                            Keys.ClientToServer,
-                                            Bytes{RequestMeta}, Rng);
-    ASSERT_TRUE(static_cast<bool>(Req));
-    Expected<Bytes> Meta = openRecord(Keys.ServerToClient,
-                                      Server.handle(*Req));
-    ASSERT_TRUE(static_cast<bool>(Meta)) << Meta.errorMessage();
-    EXPECT_FALSE(Meta->empty());
-  }
-
-  AuthServerStats St = Server.stats();
-  EXPECT_EQ(St.HandshakesCompleted, 1u); // One attestation round...
-  EXPECT_EQ(St.BatchHandshakes, 1u);
-  EXPECT_EQ(St.BatchSessionsMinted, K); // ...amortized over K sessions.
-  EXPECT_EQ(St.LiveSessions, K);
-}
-
-TEST(BatchProvisioningTest, SplicedKeyListBreaksTheBinding) {
-  QuoteRig Rig;
-  AuthServer Server = Rig.makeServer();
-
-  Drbg Rng(22);
-  std::vector<X25519Key> Privs(3), Pubs(3);
-  for (size_t I = 0; I < 3; ++I) {
-    Rng.fill(MutableBytesView(Privs[I].data(), 32));
-    Pubs[I] = x25519PublicKey(Privs[I]);
-  }
-  Expected<Bytes> Quote = Rig.quoteFor(batchBindingHash(Pubs));
-  ASSERT_TRUE(static_cast<bool>(Quote));
-
-  // An attacker splices their key into the attested batch: the quote's
-  // binding hash no longer covers the wire key list.
-  X25519Key Evil;
-  Rng.fill(MutableBytesView(Evil.data(), 32));
-  std::vector<X25519Key> Spliced = Pubs;
-  Spliced[1] = x25519PublicKey(Evil);
-  Bytes Resp = Server.handle(helloBatchFrame(*Quote, Spliced));
-  EXPECT_EQ(Resp[0], FrameError);
-  EXPECT_EQ(Server.stats().HandshakesRejected, 1u);
-  EXPECT_EQ(Server.stats().LiveSessions, 0u);
-}
-
-TEST(BatchProvisioningTest, OversizedCountRejectedAtParse) {
-  // Craft a frame claiming 2000 sessions (over BatchMaxSessions).
-  Bytes Frame;
-  Frame.push_back(FrameHelloBatch);
-  Frame.push_back(static_cast<uint8_t>(2000 & 0xff));
-  Frame.push_back(static_cast<uint8_t>(2000 >> 8));
-  Frame.insert(Frame.end(), 100, 0);
-  Expected<HelloBatchRequest> R = parseHelloBatchFrame(Frame);
-  ASSERT_FALSE(static_cast<bool>(R));
-
-  Bytes Zero = {FrameHelloBatch, 0, 0, 0, 0, 0, 0};
-  EXPECT_FALSE(static_cast<bool>(parseHelloBatchFrame(Zero)));
-}
-
-/// A transport that answers HELLO-BATCH frames in-process, recording per
-/// round which group (smuggled through the quote bytes) it served and
-/// checking the binding hash actually covers the wire key list.
-class FakeBatchTransport : public Transport {
-public:
-  Expected<Bytes> roundTrip(BytesView Request) override {
-    Expected<HelloBatchRequest> Req = parseHelloBatchFrame(Request);
-    if (!Req)
-      return Req.takeError();
-    // QuoteFn below serializes GroupKey || BindingHash as the "quote".
-    if (Req->Quote.size() != 64)
-      return makeError("fake transport: unexpected quote shape");
-    std::array<uint8_t, 32> Binding = batchBindingHash(Req->ClientPubs);
-    if (std::memcmp(Binding.data(), Req->Quote.data() + 32, 32) != 0)
-      return makeError("fake transport: binding does not cover key list");
-
-    std::lock_guard<std::mutex> Lock(Mutex);
-    uint8_t Group = Req->Quote[0];
-    PerGroupSessions[Group] += Req->ClientPubs.size();
-    ++Rounds;
-    std::vector<BatchSession> Minted(Req->ClientPubs.size());
-    for (BatchSession &B : Minted) {
-      B.Sid = ++NextSid;
-      B.ServerPub = ServerPub;
-    }
-    return helloBatchOkFrame(Minted);
-  }
-
-  std::mutex Mutex;
-  size_t Rounds = 0;
-  std::map<uint8_t, size_t> PerGroupSessions;
-  uint64_t NextSid = 0;
-  X25519Key ServerPub = x25519PublicKey(X25519Key{{9}});
-};
-
-TEST(BatchProvisioningTest, BatcherSplitsMixedMeasurements) {
-  FakeBatchTransport Link;
-  AttestationBatcherConfig Config;
-  Config.MaxBatch = 8;
-  Config.MaxDelayMs = 2;
-  AttestationBatcher Batcher(
-      Link,
-      [](const std::array<uint8_t, 32> &Group,
-         const std::array<uint8_t, 32> &Binding) -> Expected<Bytes> {
-        Bytes Quote(Group.begin(), Group.end());
-        Quote.insert(Quote.end(), Binding.begin(), Binding.end());
-        return Quote;
-      },
-      Config);
-
-  std::array<uint8_t, 32> GroupA{}, GroupB{};
-  GroupA[0] = 0xaa;
-  GroupB[0] = 0xbb;
-
-  constexpr size_t JoinsA = 16, JoinsB = 8;
-  std::atomic<size_t> Failures{0};
-  std::vector<std::thread> Crew;
-  for (size_t I = 0; I < JoinsA + JoinsB; ++I)
-    Crew.emplace_back([&, I] {
-      const std::array<uint8_t, 32> &Group = I < JoinsA ? GroupA : GroupB;
-      Drbg Rng(100 + I);
-      X25519Key Priv;
-      Rng.fill(MutableBytesView(Priv.data(), 32));
-      Expected<BatchJoinResult> R =
-          Batcher.join(Group, x25519PublicKey(Priv));
-      if (!R || R->Sid == 0)
-        Failures.fetch_add(1);
-    });
-  for (std::thread &T : Crew)
-    T.join();
-
-  EXPECT_EQ(Failures.load(), 0u);
-  // Groups never mixed: each measurement's joins add up exactly, in
-  // rounds that each carried a consistent binding (checked in-transport).
-  {
-    std::lock_guard<std::mutex> Lock(Link.Mutex);
-    EXPECT_EQ(Link.PerGroupSessions[0xaa], JoinsA);
-    EXPECT_EQ(Link.PerGroupSessions[0xbb], JoinsB);
-    EXPECT_EQ(Link.PerGroupSessions.size(), 2u);
-    // 24 joiners with MaxBatch 8 need at least 3 rounds; amortization
-    // means strictly fewer rounds than joiners.
-    EXPECT_GE(Link.Rounds, 3u);
-    EXPECT_LT(Link.Rounds, JoinsA + JoinsB);
-  }
-  AttestationBatcher::Stats St = Batcher.stats();
-  EXPECT_EQ(St.Sessions, JoinsA + JoinsB);
-  EXPECT_GT(St.amortization(), 1.0);
-}
-
-TEST(BatchProvisioningTest, FailedRoundFailsEveryJoinerButRecovers) {
-  // A link that refuses the first round, then works: the first wave of
-  // joiners all see the failure (no one hangs); later joins succeed.
-  class FlakyLink : public FakeBatchTransport {
-  public:
-    Expected<Bytes> roundTrip(BytesView Request) override {
-      if (!FailedOnce.exchange(true))
-        return makeError("injected batch-round failure");
-      return FakeBatchTransport::roundTrip(Request);
-    }
-    std::atomic<bool> FailedOnce{false};
-  };
-  FlakyLink Link;
-  AttestationBatcherConfig Config;
-  Config.MaxBatch = 4;
-  Config.MaxDelayMs = 2;
-  AttestationBatcher Batcher(
-      Link,
-      [](const std::array<uint8_t, 32> &Group,
-         const std::array<uint8_t, 32> &Binding) -> Expected<Bytes> {
-        Bytes Quote(Group.begin(), Group.end());
-        Quote.insert(Quote.end(), Binding.begin(), Binding.end());
-        return Quote;
-      },
-      Config);
-
-  std::array<uint8_t, 32> Group{};
-  Drbg Rng(31);
-  X25519Key Priv;
-  Rng.fill(MutableBytesView(Priv.data(), 32));
-  X25519Key Pub = x25519PublicKey(Priv);
-
-  Expected<BatchJoinResult> First = Batcher.join(Group, Pub);
-  ASSERT_FALSE(static_cast<bool>(First));
-  EXPECT_NE(First.errorMessage().find("injected"), std::string::npos);
-
-  Expected<BatchJoinResult> Second = Batcher.join(Group, Pub);
-  ASSERT_TRUE(static_cast<bool>(Second)) << Second.errorMessage();
-  EXPECT_NE(Second->Sid, 0u);
-  EXPECT_EQ(Batcher.stats().FailedRounds, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Seeded fault soak (the TSan exercise for the whole transport core)
-//===----------------------------------------------------------------------===//
 
 TEST(ReactorSoakTest, SeededFaultsOverRealSocketsStayCoherent) {
   elide::testing::ChaosSeedScope Seed("reactor-soak", 0xdeadbeef);
@@ -730,17 +516,11 @@ TEST(ReactorSoakTest, SeededFaultsOverRealSocketsStayCoherent) {
   Plan.FaultPerMille = 150;
   FaultInjectingTransport Link(Wire, Plan);
 
-  AttestationBatcherConfig BC;
-  BC.MaxBatch = 4;
-  BC.MaxDelayMs = 2;
-  AttestationBatcher Batcher(
-      Link, [&Rig](const std::array<uint8_t, 32> &,
-                   const std::array<uint8_t, 32> &Binding) {
-        return Rig.quoteFor(Binding);
-      },
-      BC);
-  std::array<uint8_t, 32> Group{};
-  std::memcpy(Group.data(), Rig.Mr.data(), 32);
+  auto hello = [&](const X25519Key &Pub) -> Expected<HelloOk> {
+    ELIDE_TRY(Bytes Hello, Rig.helloFor(Pub));
+    ELIDE_TRY(Bytes Resp, Link.roundTrip(Hello));
+    return parseHelloOkFrame(Resp);
+  };
 
   constexpr int Threads = 4;
   constexpr int PerThread = 20;
@@ -753,16 +533,16 @@ TEST(ReactorSoakTest, SeededFaultsOverRealSocketsStayCoherent) {
         X25519Key Priv;
         Rng.fill(MutableBytesView(Priv.data(), 32));
         X25519Key Pub = x25519PublicKey(Priv);
-        Expected<BatchJoinResult> J = Batcher.join(Group, Pub);
-        if (!J)
-          J = Batcher.join(Group, Pub); // One fresh wave after a fault.
-        if (!J)
+        Expected<HelloOk> Ok = hello(Pub);
+        if (!Ok)
+          Ok = hello(Pub); // One retry after a fault.
+        if (!Ok)
           continue;
-        SessionKeys Keys = deriveSessionKeys(x25519(Priv, J->ServerPub),
-                                             Pub, J->ServerPub);
+        SessionKeys Keys = deriveSessionKeys(x25519(Priv, Ok->ServerPub),
+                                             Pub, Ok->ServerPub);
         for (int A = 0; A < 3; ++A) {
           Expected<Bytes> Req = sealSessionRecord(
-              J->Sid, Keys.ClientToServer, Bytes{RequestMeta}, Rng);
+              Ok->Sid, Keys.ClientToServer, Bytes{RequestMeta}, Rng);
           if (!Req)
             break;
           Expected<Bytes> Resp = Link.roundTrip(*Req);

@@ -193,6 +193,20 @@ TEST(AuthServerTest, RejectsGarbageFrames) {
   Bytes BadHello = {FrameHello, 1, 2, 3};
   EXPECT_EQ(Server.handle(BadHello)[0], FrameError);
   EXPECT_EQ(Server.stats().HandshakesRejected, 1u);
+
+  // 0x03 was the retired HELLO-BATCH frame. Bare or enveloped, it is an
+  // unknown frame type now, never a handshake attempt.
+  Bytes Retired = {0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00};
+  for (const Bytes &Frame :
+       {Retired, envelopeFrame(0, Criticality::Critical, Retired)}) {
+    Bytes Resp = Server.handle(Frame);
+    ASSERT_EQ(Resp[0], FrameError);
+    EXPECT_NE(stringOfBytes(BytesView(Resp).subspan(1))
+                  .find("unknown frame type 3"),
+              std::string::npos);
+  }
+  EXPECT_EQ(Server.stats().HandshakesCompleted, 0u);
+  EXPECT_EQ(Server.stats().HandshakesRejected, 1u);
 }
 
 TEST(AuthServerTest, RejectsWrongMeasurementAndAcceptsRight) {

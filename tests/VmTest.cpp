@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 using namespace elide;
 
 namespace {
@@ -118,6 +120,11 @@ struct AluCase {
   uint64_t A, B, Expect;
 };
 
+void PrintTo(const AluCase &C, std::ostream *OS) {
+  *OS << opcodeName(C.Op) << std::hex << "(0x" << C.A << ", 0x" << C.B
+      << ") = 0x" << C.Expect << std::dec;
+}
+
 class AluTest : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(AluTest, ComputesExpectedOnEveryBackend) {
@@ -167,7 +174,13 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{Opcode::SltS, static_cast<uint64_t>(-1), 1, 1},
         AluCase{Opcode::SleU, 4, 4, 1},
         AluCase{Opcode::SleS, static_cast<uint64_t>(-5),
-                static_cast<uint64_t>(-5), 1}));
+                static_cast<uint64_t>(-5), 1}),
+    [](const ::testing::TestParamInfo<AluCase> &Info) {
+      std::ostringstream Name;
+      Name << opcodeName(Info.param.Op) << std::hex << "_" << Info.param.A
+           << "_" << Info.param.B;
+      return Name.str();
+    });
 
 TEST_P(VmExecTest, RegisterZeroIsHardwired) {
   H.emit(Opcode::LdI, 0, 0, 0, 77); // write to r0 discarded

@@ -49,6 +49,9 @@ void fuzzProtocolOne(BytesView Input) {
   (void)openRecord(Key, Input);
   (void)openSessionRecord(Key, Input);
   (void)peekSessionId(Input);
+  // The restorer's HELLO-OK parser accepts exactly one fixed-size shape.
+  if (parseHelloOkFrame(Input))
+    FUZZ_ASSERT(Input.size() == HelloOkSize && Input[0] == FrameHello);
 
   // Load-shed frame parser: must reject everything except the exact
   // 5-byte OVERLOADED shape, and round-trip the advertised hint when the

@@ -154,6 +154,13 @@ void makeProtocolCorpus() {
        BytesView(Overloaded.data(), OverloadedFrameSize - 2));
 
   emit("protocol", "seed-structured", fuzz::buildProtocolFrame(Rng));
+
+  // 0x03 is a retired frame type (the batched handshake: count u16 ||
+  // quote-len u32 || quote || keys). It must stay unknown to the server.
+  Bytes Retired = {0x03, 0x01, 0x00};
+  appendLE32(Retired, 296);
+  appendBytes(Retired, Rng.bytes(296 + 32));
+  emit("protocol", "seed-retired-hello-batch", Retired);
 }
 
 void makeElfCorpus() {

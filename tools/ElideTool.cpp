@@ -74,7 +74,7 @@ int usage() {
       "            [--connect-timeout-ms N] [--io-timeout-ms N] "
       "[--retries N] [--retry-backoff-ms N]\n"
       "            [--endpoint host:port]... [--breaker-failures N] "
-      "[--breaker-cooldown-ms N] [--hedge-ms N]\n"
+      "[--breaker-cooldown-ms N]\n"
       "            [--sealed-cache f] [--restore-attempts N] "
       "[--restore-backoff-ms N] [--trace-provision]\n"
       "            [--deadline-ms N] [--criticality "
@@ -634,8 +634,6 @@ int cmdRun(std::vector<std::string> Args) {
       flagValue(Args, "--breaker-cooldown-ms",
                 std::to_string(ProvConfig.Breaker.CooldownMs)));
   ProvConfig.Breaker.JitterSeed = DeviceSeed ^ 0x50524f56ULL;
-  ProvConfig.HedgeAfterMs = std::stoi(flagValue(
-      Args, "--hedge-ms", std::to_string(ProvConfig.HedgeAfterMs)));
   ProvConfig.RetryBudgetInitial = std::stod(flagValue(
       Args, "--retry-budget", std::to_string(ProvConfig.RetryBudgetInitial)));
   uint32_t DeadlineMs = static_cast<uint32_t>(
