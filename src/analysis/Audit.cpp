@@ -6,6 +6,8 @@
 
 #include "analysis/Audit.h"
 
+#include <cstdio>
+
 namespace elide {
 namespace analysis {
 
@@ -33,8 +35,7 @@ std::vector<ElidedRegion> effectiveElidedRegions(const AuditInput &Input,
         continue;
       // Bridge thunks are implicitly whitelisted (the sanitizer never
       // elides them), mirroring Whitelist::contains().
-      if (Sym.Name.compare(0, Input.BridgePrefix.size(), Input.BridgePrefix) ==
-          0)
+      if (Sym.Name.starts_with(Input.BridgePrefix))
         continue;
       if (Sym.Value < Text->Addr || Sym.Value + Sym.Size > Text->Addr + Text->Size)
         continue;
@@ -90,6 +91,12 @@ std::vector<std::string> parseEcallManifest(const ElfImage &Image,
   return Names;
 }
 
+std::string hexString(uint64_t V) {
+  char B[32];
+  std::snprintf(B, sizeof(B), "%llx", (unsigned long long)V);
+  return B;
+}
+
 std::vector<std::string> checkFamilyNames(unsigned Checks) {
   std::vector<std::string> Out;
   if (Checks & CheckResidual)
@@ -118,12 +125,10 @@ AuditReport runAudit(const AuditInput &Input, const AuditOptions &Options) {
       checkMetadataLeaks(Input, Options, Engine);
     if (Options.Checks & CheckLayout)
       checkLayout(Input, Options, Engine);
-    if (Options.Checks & CheckReachability)
-      checkReachability(Input, Options, Engine);
+    if (Options.Checks & (CheckReachability | CheckOrderliness))
+      checkPreRestore(Input, Options, Engine);
     if (Options.Checks & (CheckConstantTime | CheckTaintFlow))
       checkSecretFlow(Input, Options, Engine);
-    if (Options.Checks & CheckOrderliness)
-      checkOrderliness(Input, Options, Engine);
   }
   AuditReport Report = Engine.take();
   Report.Families = checkFamilyNames(Options.Checks);

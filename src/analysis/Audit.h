@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `sgxelide audit` entry point: four static checkers that verify a
-/// sanitized enclave image discloses nothing about its elided code.
-/// Nothing here executes enclave code -- every checker works from the file
-/// bytes, the parsed `ElfImage`, and (optionally) the build-time facts the
-/// sanitizer recorded. The checkers model the paper's adversary: someone
-/// holding only the distributed binary, a disassembler, and patience.
+/// The `sgxelide audit` entry point: static checkers that verify a
+/// sanitized enclave image discloses nothing about its elided code and
+/// cannot run into it before restoration. Nothing here executes enclave
+/// code -- every checker works from the file bytes, the parsed `ElfImage`,
+/// and (optionally) the build-time facts the sanitizer recorded. The
+/// checkers model the paper's adversary: someone holding only the
+/// distributed binary, a disassembler, and patience.
 ///
 /// Layering: this library depends only on `elide_elf`, `elide_vm`, and
 /// `elide_support`. Whitelist/SecretMeta facts arrive as plain values
@@ -133,10 +134,13 @@ std::vector<ElidedRegion> effectiveElidedRegions(const AuditInput &Input,
                                                  bool *Inferred = nullptr);
 
 /// Parses the newline-separated ecall manifest section (empty when the
-/// section is absent). Shared by the reachability and orderliness
-/// checkers.
+/// section is absent), in section order with duplicates kept.
 std::vector<std::string> parseEcallManifest(const ElfImage &Image,
                                             const std::string &SectionName);
+
+/// Lower-case hex without a prefix ("1f8"): how the checkers' messages
+/// spell addresses and offsets.
+std::string hexString(uint64_t V);
 
 // Individual checkers (each appends to \p Engine). Exposed so unit tests
 // can exercise one checker in isolation.
@@ -146,16 +150,16 @@ void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &Options,
                         DiagnosticEngine &Engine);
 void checkLayout(const AuditInput &Input, const AuditOptions &Options,
                  DiagnosticEngine &Engine);
-void checkReachability(const AuditInput &Input, const AuditOptions &Options,
-                       DiagnosticEngine &Engine);
+/// The pre-restore walk over the shipped image: reachability (AUD 401-405)
+/// and orderliness (AUD 601-605), each reported when `Options.Checks`
+/// selects it.
+void checkPreRestore(const AuditInput &Input, const AuditOptions &Options,
+                     DiagnosticEngine &Engine);
 /// Runs the taint engine over the restored view of .text and reports the
 /// constant-time (AUD 501-503) and/or taint-flow (AUD 511/521/522)
 /// families, as selected by `Options.Checks`.
 void checkSecretFlow(const AuditInput &Input, const AuditOptions &Options,
                      DiagnosticEngine &Engine);
-/// Static lifecycle verification (AUD 601-605) over the shipped image.
-void checkOrderliness(const AuditInput &Input, const AuditOptions &Options,
-                      DiagnosticEngine &Engine);
 
 } // namespace analysis
 } // namespace elide

@@ -68,9 +68,9 @@ Cfg Cfg::build(BytesView Code, uint64_t BaseAddr,
   Cfg G;
   G.Code = Code;
   G.Base = BaseAddr;
-  G.Size = Code.size();
+  G.Size = Code.size() <= UINT64_MAX - BaseAddr ? Code.size() : 0;
 
-  const size_t SlotCount = Code.size() / SvmInstrSize;
+  const size_t SlotCount = G.Size / SvmInstrSize;
   std::vector<uint8_t> Visited(SlotCount, 0);
   std::vector<uint8_t> Leader(SlotCount, 0);
   auto slotOf = [&](uint64_t Pc) { return (size_t)((Pc - BaseAddr) / SvmInstrSize); };

@@ -83,10 +83,13 @@ public:
   uint64_t baseAddr() const { return Base; }
   uint64_t limit() const { return Base + (Size / SvmInstrSize) * SvmInstrSize; }
 
-  /// True when \p Pc addresses a whole, aligned slot of the region.
+  /// True when \p Pc addresses a whole, aligned slot of the region. The
+  /// test compares offsets: a target near 2^64 must not wrap into range.
+  /// A region whose end does not fit in 64 bits holds no slots at all, so
+  /// no block's End can wrap.
   bool contains(uint64_t Pc) const {
-    return Pc >= Base && Pc % SvmInstrSize == 0 &&
-           Pc + SvmInstrSize <= Base + Size;
+    return Pc >= Base && Pc % SvmInstrSize == 0 && Size >= SvmInstrSize &&
+           Pc - Base <= Size - SvmInstrSize;
   }
 
 private:

@@ -7,10 +7,11 @@
 /// \file
 /// The diagnostics engine behind `sgxelide audit`: stable `AUD###` codes,
 /// severities, a baseline/suppression file, and text + JSON rendering.
-/// Codes are grouped by checker (1xx residual secrets, 2xx metadata
-/// leaks, 3xx layout/W^X, 4xx pre-restore reachability) and are append-
-/// only: a code, once published, keeps its number and meaning forever so
-/// baselines and CI greps stay valid across releases.
+/// Codes are grouped by checker family (1xx residual secrets, 2xx
+/// metadata leaks, 3xx layout/W^X, 4xx pre-restore reachability, 5xx
+/// secret flow, 6xx orderliness) and are append-only: a code, once
+/// published, keeps its number and meaning forever so baselines and CI
+/// greps stay valid across releases.
 ///
 //===----------------------------------------------------------------------===//
 

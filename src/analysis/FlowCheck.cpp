@@ -39,25 +39,8 @@
 #include "analysis/Taint.h"
 #include "vm/Disassembler.h"
 
-#include <cstdio>
-
 namespace elide {
 namespace analysis {
-
-namespace {
-
-std::string hexString(uint64_t V) {
-  char B[32];
-  std::snprintf(B, sizeof(B), "%llx", (unsigned long long)V);
-  return B;
-}
-
-bool startsWith(const std::string &S, const std::string &Prefix) {
-  return S.size() >= Prefix.size() &&
-         S.compare(0, Prefix.size(), Prefix) == 0;
-}
-
-} // namespace
 
 void checkSecretFlow(const AuditInput &Input, const AuditOptions &Options,
                      DiagnosticEngine &Engine) {
@@ -87,7 +70,8 @@ void checkSecretFlow(const AuditInput &Input, const AuditOptions &Options,
   // whose bridges were scrubbed still gets its restored functions walked.
   std::vector<uint64_t> Roots;
   for (const ElfSymbol &Sym : Image.symbols())
-    if (startsWith(Sym.Name, Input.BridgePrefix) || Sym.Name == Input.RestoreSymbol)
+    if (Sym.Name.starts_with(Input.BridgePrefix) ||
+        Sym.Name == Input.RestoreSymbol)
       Roots.push_back(Sym.Value);
   for (const ElidedRegion &R : Regions)
     Roots.push_back(Text->Addr + R.Offset);

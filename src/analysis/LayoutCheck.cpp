@@ -22,20 +22,8 @@
 
 #include "analysis/Audit.h"
 
-#include <cstdio>
-
 namespace elide {
 namespace analysis {
-
-namespace {
-
-std::string hexString(uint64_t V) {
-  char B[32];
-  std::snprintf(B, sizeof(B), "%llx", (unsigned long long)V);
-  return B;
-}
-
-} // namespace
 
 void checkLayout(const AuditInput &Input, const AuditOptions &Options,
                  DiagnosticEngine &Engine) {

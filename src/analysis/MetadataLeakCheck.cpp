@@ -32,33 +32,6 @@ namespace {
 constexpr uint64_t SymEntSize = 24;  // Elf64_Sym
 constexpr uint64_t RelaEntSize = 24; // Elf64_Rela
 
-bool startsWith(const std::string &S, const std::string &Prefix) {
-  return S.size() >= Prefix.size() &&
-         S.compare(0, Prefix.size(), Prefix) == 0;
-}
-
-std::set<std::string> parseManifest(const ElfImage &Image,
-                                    const std::string &SectionName) {
-  std::set<std::string> Names;
-  const ElfSection *S = Image.sectionByName(SectionName);
-  if (!S)
-    return Names;
-  Bytes Raw = Image.sectionContents(*S);
-  std::string Line;
-  for (uint8_t B : Raw) {
-    if (B == '\n') {
-      if (!Line.empty())
-        Names.insert(Line);
-      Line.clear();
-    } else if (B != 0) {
-      Line.push_back((char)B);
-    }
-  }
-  if (!Line.empty())
-    Names.insert(Line);
-  return Names;
-}
-
 } // namespace
 
 void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &,
@@ -75,7 +48,7 @@ void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &,
         continue;
       if (Input.WhitelistNames.count(Sym.Name))
         continue;
-      if (startsWith(Sym.Name, Input.BridgePrefix))
+      if (Sym.Name.starts_with(Input.BridgePrefix))
         continue; // Orphan bridges are AUD204's finding.
       Engine.report(AudElidedSymbolNamed, Severity::Error,
                     "symbol table names elided function '" + Sym.Name +
@@ -138,7 +111,7 @@ void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &,
   std::vector<ElidedRegion> Regions = effectiveElidedRegions(Input, nullptr);
   if (Text) {
     for (const ElfSection &S : Image.sections()) {
-      if (!startsWith(S.Name, ".rel") || S.Type == SHT_NOBITS)
+      if (!S.Name.starts_with(".rel") || S.Type == SHT_NOBITS)
         continue;
       Bytes Raw = Image.sectionContents(S);
       for (uint64_t Off = 0; Off + RelaEntSize <= Raw.size();
@@ -163,10 +136,11 @@ void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &,
   }
 
   // --- AUD204/AUD205: bridge symbols vs the ecall manifest. ---
-  std::set<std::string> Manifest =
-      parseManifest(Image, Input.EcallManifestSection);
+  std::vector<std::string> Listed =
+      parseEcallManifest(Image, Input.EcallManifestSection);
+  std::set<std::string> Manifest(Listed.begin(), Listed.end());
   for (const ElfSymbol &Sym : Image.symbols()) {
-    if (!startsWith(Sym.Name, Input.BridgePrefix))
+    if (!Sym.Name.starts_with(Input.BridgePrefix))
       continue;
     std::string Export = Sym.Name.substr(Input.BridgePrefix.size());
     if (!Manifest.count(Export))

@@ -96,7 +96,6 @@ public:
 
 private:
   EventLoop() = default;
-  Error addPollBackend(int Fd, uint32_t Events, void *Token);
 
   int EpollFd = -1;        ///< -1 when the poll backend is active.
   int WakeRead = -1;       ///< Self-pipe read end, watched internally.

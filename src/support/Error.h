@@ -313,7 +313,7 @@ constexpr bool isRetryableTransportErrc(TransportErrc Errc) {
 /// Failure kinds surfaced by the `EnclaveSupervisor` lifecycle state
 /// machine, carried as `Error::code()` so callers (the auth server, the
 /// tool, sessions holding a stale ticket) can branch without parsing
-/// messages. Codes live above the transport space (101-112).
+/// messages. Codes live above the transport space (101-114).
 enum class LifecycleErrc : int {
   None = 0,
   NotLoaded = 301,       ///< Ecall/restore before the enclave was built.

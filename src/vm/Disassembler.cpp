@@ -183,6 +183,9 @@ std::optional<uint64_t> elide::directTarget(const Instruction &I,
 
 std::string elide::disassembleInstruction(const Instruction &I, uint64_t Pc) {
   char Buf[128];
+  // The switch covers only defined opcodes; any other byte (data between
+  // functions) renders as itself.
+  std::snprintf(Buf, sizeof(Buf), ".op 0x%02x", static_cast<unsigned>(I.Op));
   const char *Name = opcodeName(I.Op);
   switch (I.Op) {
   case Opcode::Illegal:

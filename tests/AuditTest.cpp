@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Unit tests for `src/analysis`: the diagnostics engine (codes, keys,
-/// baselines, JSON), each of the four checkers against deliberately leaky
+/// baselines, JSON), each checker family against deliberately leaky
 /// crafted images, and the zero-false-positive guarantee over images the
 /// real pipeline produces. Every leaky image is built with `ElfBuilder`
 /// and seeds exactly one defect class, so a failing assertion names the
@@ -23,10 +23,13 @@
 #include "elf/ElfBuilder.h"
 #include "elf/ElfImage.h"
 #include "elide/Pipeline.h"
+#include "tests/framework/Builders.h"
+#include "vm/Disassembler.h"
 #include "vm/Isa.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -126,6 +129,21 @@ AuditReport runChecks(const AuditInput &In, unsigned Checks,
   Opts.Checks = Checks;
   Opts.Mode = Mode;
   return runAudit(In, Opts);
+}
+
+/// Crafts \p S and audits it with the default build-side facts plus the
+/// extra whitelisted exports.
+AuditReport
+auditCrafted(const CraftSpec &S, unsigned Checks,
+             std::initializer_list<std::string> ExtraWhitelist = {}) {
+  Bytes File = craft(S);
+  EXPECT_FALSE(File.empty());
+  Expected<ElfImage> Image = ElfImage::parse(File);
+  EXPECT_TRUE(static_cast<bool>(Image)) << Image.errorMessage();
+  AuditInput In = inputFor(*Image);
+  for (const std::string &W : ExtraWhitelist)
+    In.WhitelistNames.insert(W);
+  return runChecks(In, Checks);
 }
 
 size_t countCode(const AuditReport &R, int Code) {
@@ -790,6 +808,121 @@ TEST(ReachabilityCheckTest, Aud405FlagsFlowLeavingText) {
   EXPECT_EQ(D->Sev, Severity::Error);
 }
 
+TEST(ReachabilityCheckTest, Aud402QuotesTheSlotBeforeAStraightLineFallThrough) {
+  // elide_restore runs `nop; addi` and falls off its end into secret_fn.
+  CraftSpec S;
+  Instruction Last = instr(Opcode::AddI, 1, 1, 0, 7);
+  poke(S.Text, 0x18, Last);
+  AuditReport R = auditCrafted(S, CheckReachability);
+  ASSERT_EQ(countCode(R, AudPreRestoreReachesElided), 1u) << R.renderText();
+  const Diagnostic *D = findCode(R, AudPreRestoreReachesElided);
+  EXPECT_EQ(D->Offset, 0x20u);
+  EXPECT_EQ(D->Symbol, "secret_fn");
+  EXPECT_NE(D->Message.find("from 'elide_restore' via `" +
+                            disassembleInstruction(Last, 0x1018) + "`"),
+            std::string::npos)
+      << D->Message;
+}
+
+TEST(ReachabilityCheckTest, Aud405FlagsMisalignedTargetsAndFallingOffText) {
+  // A branch into the middle of a slot leaves the instruction stream.
+  CraftSpec Mis;
+  poke(Mis.Text, 0x10, instr(Opcode::Jmp, 0, 0, 0, 4)); // -> 0x1014
+  AuditReport R1 = auditCrafted(Mis, CheckReachability);
+  ASSERT_EQ(countCode(R1, AudFlowEscapesText), 1u) << R1.renderText();
+  const Diagnostic *D1 = findCode(R1, AudFlowEscapesText);
+  EXPECT_EQ(D1->Offset, 0x10u);
+  EXPECT_NE(D1->Message.find("target 0x1014"), std::string::npos)
+      << D1->Message;
+
+  // Straight-line code running past the last slot of .text.
+  CraftSpec Tail;
+  Tail.Text.resize(Tail.Text.size() + SvmInstrSize, 0);
+  poke(Tail.Text, 0x10, instr(Opcode::Jmp, 0, 0, 0, 0x30)); // -> 0x1040
+  poke(Tail.Text, 0x40, instr(Opcode::Nop));
+  AuditReport R2 = auditCrafted(Tail, CheckReachability);
+  ASSERT_EQ(countCode(R2, AudFlowEscapesText), 1u) << R2.renderText();
+  const Diagnostic *D2 = findCode(R2, AudFlowEscapesText);
+  EXPECT_EQ(D2->Offset, 0x40u);
+  EXPECT_NE(D2->Message.find("via `nop` leaves the text section (target "
+                             "0x1048)"),
+            std::string::npos)
+      << D2->Message;
+}
+
+TEST(ReachabilityCheckTest, SharedEdgeIsOneAud402ButEachEntryGetsAud601) {
+  // Two whitelisted bridges call the same helper, which jumps into
+  // secret_fn: one offending edge, two entries that admit it.
+  CraftSpec S;
+  S.Text.resize(S.Text.size() + 5 * SvmInstrSize, 0);
+  poke(S.Text, 0x40, instr(Opcode::Call, 0, 0, 0, 0x20)); // -> 0x1060
+  poke(S.Text, 0x48, instr(Opcode::Halt));
+  poke(S.Text, 0x50, instr(Opcode::Call, 0, 0, 0, 0x10)); // -> 0x1060
+  poke(S.Text, 0x58, instr(Opcode::Halt));
+  poke(S.Text, 0x60, instr(Opcode::Jmp, 0, 0, 0, -0x40)); // -> 0x1020
+  S.ExtraFuncs = {{"__bridge_a", 0x1040, 16}, {"__bridge_b", 0x1050, 16}};
+  AuditReport R =
+      auditCrafted(S, CheckReachability | CheckOrderliness, {"a", "b"});
+  ASSERT_EQ(countCode(R, AudPreRestoreReachesElided), 1u) << R.renderText();
+  EXPECT_EQ(findCode(R, AudPreRestoreReachesElided)->Offset, 0x20u);
+  ASSERT_EQ(countCode(R, AudPreRestoreEntersRedacted), 2u) << R.renderText();
+  std::set<std::string> Entries;
+  for (const Diagnostic &D : R.Diags)
+    if (D.Code == AudPreRestoreEntersRedacted)
+      Entries.insert(D.Symbol);
+  EXPECT_EQ(Entries, (std::set<std::string>{"__bridge_a", "__bridge_b"}));
+}
+
+TEST(ReachabilityCheckTest, WrappingBranchTargetEscapesText) {
+  // 0x1000 - 0x1008 wraps to 2^64 - 8, where `target + 8` wraps to 0: an
+  // in-text test that adds instead of subtracting takes it for a slot.
+  CraftSpec S;
+  poke(S.Text, 0x00, instr(Opcode::Jmp, 0, 0, 0, -0x1008));
+  for (unsigned Checks : {(unsigned)CheckAll, (unsigned)CheckEverything}) {
+    AuditReport R = auditCrafted(S, Checks);
+    ASSERT_EQ(countCode(R, AudFlowEscapesText), 1u) << R.renderText();
+    const Diagnostic *D = findCode(R, AudFlowEscapesText);
+    EXPECT_EQ(D->Offset, 0x0u);
+    EXPECT_NE(D->Message.find("target 0xfffffffffffffff8"), std::string::npos)
+        << D->Message;
+  }
+}
+
+TEST(ReachabilityCheckTest, TextEndingPast2To64IsNotWalked) {
+  // `jmp +8; jmp +8; halt` at 2^64 - 24: the last slot's end wraps to 0,
+  // so no slot of this .text is addressable and the walk has nothing to
+  // judge -- in particular no block ending at 0 that looks like a trap.
+  Bytes Code;
+  emitInstruction(Code, instr(Opcode::Jmp, 0, 0, 0, 8));
+  emitInstruction(Code, instr(Opcode::Jmp, 0, 0, 0, 8));
+  emitInstruction(Code, instr(Opcode::Halt));
+  ElfBuilder B;
+  size_t TextIdx = B.addProgbits(".text", 0x1000, Code,
+                                 SHF_ALLOC | SHF_EXECINSTR | SHF_WRITE);
+  B.addSymbol("elide_restore", 0x1000, Code.size(), STT_FUNC, TextIdx);
+  Expected<Bytes> File = B.build();
+  ASSERT_TRUE(static_cast<bool>(File)) << File.errorMessage();
+  fuzz::rebaseFirstSection(*File, 0ull - Code.size() - 0x1000);
+  Expected<ElfImage> Image = ElfImage::parse(*File);
+  ASSERT_TRUE(static_cast<bool>(Image)) << Image.errorMessage();
+  const ElfSymbol *Restore = Image->symbolByName("elide_restore");
+  ASSERT_NE(Restore, nullptr);
+  ASSERT_EQ(Restore->Value, 0ull - 24);
+  AuditInput In;
+  In.Image = &*Image;
+  In.WhitelistNames = {"elide_restore"};
+  In.HaveWhitelist = true;
+  for (unsigned Checks : {(unsigned)CheckAll, (unsigned)CheckEverything}) {
+    AuditReport R = runChecks(In, Checks);
+    for (int C : {AudPreRestoreReachesElided, AudIndirectPreRestore,
+                  AudBridgeElided, AudFlowEscapesText,
+                  AudPreRestoreEntersRedacted, AudPreRestoreOcall,
+                  AudBridgeContract, AudRestoreReentry,
+                  AudRestoreIncompletable})
+      EXPECT_EQ(countCode(R, C), 0u) << R.renderText();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // CFG builder
 //===----------------------------------------------------------------------===//
@@ -866,6 +999,24 @@ TEST(CfgTest, ToleratesTruncatedTailsAndBadRoots) {
   Cfg Empty = Cfg::build(BytesView(Code.data(), 0), 0x1000, {0x1000});
   EXPECT_TRUE(Empty.blocks().empty());
   EXPECT_EQ(Empty.blockContaining(0x1000), -1);
+}
+
+TEST(CfgTest, RegionEndingPast2To64HasNoSlots) {
+  // The last slot would end at 2^64, which wraps to 0: no block End could
+  // be represented, so the region holds nothing.
+  Bytes Code;
+  emitInstruction(Code, instr(Opcode::Nop));
+  emitInstruction(Code, instr(Opcode::Ret));
+  const uint64_t Base = 0ull - Code.size();
+  Cfg G = Cfg::build(BytesView(Code.data(), Code.size()), Base, {Base});
+  EXPECT_TRUE(G.blocks().empty());
+  EXPECT_FALSE(G.contains(Base));
+
+  // One slot lower, both slots fit and form one block.
+  const uint64_t Lower = Base - SvmInstrSize;
+  Cfg Fits = Cfg::build(BytesView(Code.data(), Code.size()), Lower, {Lower});
+  ASSERT_EQ(Fits.blocks().size(), 1u);
+  EXPECT_EQ(Fits.blocks()[0].End, 0ull - SvmInstrSize);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1057,18 +1208,6 @@ TEST(FlowCheckTest, RestoredViewOverlaySeesThroughZeroedText) {
 // Orderliness checkers (AUD6xx)
 //===----------------------------------------------------------------------===//
 
-AuditReport orderAudit(const CraftSpec &S,
-                       std::initializer_list<std::string> ExtraWhitelist = {}) {
-  Bytes File = craft(S);
-  EXPECT_FALSE(File.empty());
-  Expected<ElfImage> Image = ElfImage::parse(File);
-  EXPECT_TRUE(static_cast<bool>(Image)) << Image.errorMessage();
-  AuditInput In = inputFor(*Image);
-  for (const std::string &W : ExtraWhitelist)
-    In.WhitelistNames.insert(W);
-  return runChecks(In, CheckOrderliness);
-}
-
 TEST(OrderlinessCheckTest, Aud601FlagsEntryAdmittingRedactedPath) {
   // A well-shaped whitelisted bridge whose body jumps into the elided
   // region without calling elide_restore first.
@@ -1078,7 +1217,7 @@ TEST(OrderlinessCheckTest, Aud601FlagsEntryAdmittingRedactedPath) {
   poke(S.Text, 0x48, instr(Opcode::Halt));
   poke(S.Text, 0x50, instr(Opcode::Jmp, 0, 0, 0, -0x30)); // -> 0x1020
   S.ExtraFuncs = {{"__bridge_init", 0x1040, 16}};
-  AuditReport R = orderAudit(S, {"init"});
+  AuditReport R = auditCrafted(S, CheckOrderliness, {"init"});
   const Diagnostic *D = findCode(R, AudPreRestoreEntersRedacted);
   ASSERT_NE(D, nullptr) << R.renderText();
   EXPECT_EQ(D->Sev, Severity::Error);
@@ -1100,7 +1239,7 @@ TEST(OrderlinessCheckTest, PathThroughRestoreCallIsOrderly) {
   poke(S.Text, 0x50, instr(Opcode::Call, 0, 0, 0, -0x40)); // elide_restore
   poke(S.Text, 0x58, instr(Opcode::Jmp, 0, 0, 0, -0x38));  // -> 0x1020
   S.ExtraFuncs = {{"__bridge_init", 0x1040, 16}};
-  AuditReport R = orderAudit(S, {"init"});
+  AuditReport R = auditCrafted(S, CheckOrderliness, {"init"});
   EXPECT_EQ(countCode(R, AudPreRestoreEntersRedacted), 0u) << R.renderText();
   EXPECT_EQ(R.Errors, 0u) << R.renderText();
 }
@@ -1113,7 +1252,7 @@ TEST(OrderlinessCheckTest, Aud602FlagsPreRestoreOcall) {
   poke(S.Text, 0x50, instr(Opcode::Ocall));
   poke(S.Text, 0x58, instr(Opcode::Ret));
   S.ExtraFuncs = {{"__bridge_init", 0x1040, 16}};
-  AuditReport R = orderAudit(S, {"init"});
+  AuditReport R = auditCrafted(S, CheckOrderliness, {"init"});
   const Diagnostic *D = findCode(R, AudPreRestoreOcall);
   ASSERT_NE(D, nullptr) << R.renderText();
   EXPECT_EQ(D->Sev, Severity::Warning);
@@ -1126,14 +1265,14 @@ TEST(OrderlinessCheckTest, RestoreExchangeOcallIsExempt) {
   // that is the restore exchange, not a pre-restore leak.
   CraftSpec S;
   poke(S.Text, 0x10, instr(Opcode::Ocall));
-  AuditReport R = orderAudit(S);
+  AuditReport R = auditCrafted(S, CheckOrderliness);
   EXPECT_EQ(countCode(R, AudPreRestoreOcall), 0u) << R.renderText();
 }
 
 TEST(OrderlinessCheckTest, Aud603FlagsMalformedBridge) {
   CraftSpec S;
   poke(S.Text, 0x00, instr(Opcode::Nop)); // Bridge is `nop; halt`.
-  AuditReport R = orderAudit(S);
+  AuditReport R = auditCrafted(S, CheckOrderliness);
   const Diagnostic *D = findCode(R, AudBridgeContract);
   ASSERT_NE(D, nullptr) << R.renderText();
   EXPECT_EQ(D->Sev, Severity::Error);
@@ -1145,7 +1284,7 @@ TEST(OrderlinessCheckTest, Aud604FlagsRestoreReentry) {
   // elide_restore's body calls itself: the static AlreadyLoaded hazard.
   CraftSpec S;
   poke(S.Text, 0x10, instr(Opcode::Call, 0, 0, 0, 0));
-  AuditReport R = orderAudit(S);
+  AuditReport R = auditCrafted(S, CheckOrderliness);
   const Diagnostic *D = findCode(R, AudRestoreReentry);
   ASSERT_NE(D, nullptr) << R.renderText();
   EXPECT_EQ(D->Sev, Severity::Error);
@@ -1155,10 +1294,51 @@ TEST(OrderlinessCheckTest, Aud604FlagsRestoreReentry) {
   EXPECT_EQ(countCode(R, AudRestoreIncompletable), 0u) << R.renderText();
 }
 
+TEST(OrderlinessCheckTest, OcallPastTheRestoreCallIsNotPreRestore) {
+  // init calls elide_restore first; its ocall runs against restored text.
+  CraftSpec S;
+  S.Text.resize(S.Text.size() + 5 * SvmInstrSize, 0);
+  poke(S.Text, 0x40, instr(Opcode::Call, 0, 0, 0, 16)); // -> 0x1050
+  poke(S.Text, 0x48, instr(Opcode::Halt));
+  poke(S.Text, 0x50, instr(Opcode::Call, 0, 0, 0, -0x40)); // elide_restore
+  poke(S.Text, 0x58, instr(Opcode::Ocall));
+  poke(S.Text, 0x60, instr(Opcode::Ret));
+  S.ExtraFuncs = {{"__bridge_init", 0x1040, 16}};
+  AuditReport R = auditCrafted(S, CheckOrderliness, {"init"});
+  EXPECT_EQ(countCode(R, AudPreRestoreOcall), 0u) << R.renderText();
+  EXPECT_TRUE(R.clean()) << R.renderText();
+}
+
+TEST(OrderlinessCheckTest, WalkStopsAtTheFirstElidedSlot) {
+  // elide_restore jumps into secret_fn, whose first slot still holds a
+  // `call elide_restore`. The shipped image traps on entering the region,
+  // so that call is never reached: AUD601, but no AUD604.
+  CraftSpec S;
+  poke(S.Text, 0x10, instr(Opcode::Jmp, 0, 0, 0, 0x10));   // -> 0x1020
+  poke(S.Text, 0x20, instr(Opcode::Call, 0, 0, 0, -0x10)); // -> 0x1010
+  AuditReport R = auditCrafted(S, CheckOrderliness);
+  EXPECT_EQ(countCode(R, AudPreRestoreEntersRedacted), 1u) << R.renderText();
+  EXPECT_EQ(countCode(R, AudRestoreReentry), 0u) << R.renderText();
+}
+
+TEST(OrderlinessCheckTest, BranchBackIntoRestoreKeepsWalkingItsFallThrough) {
+  // `beqz r1, elide_restore` inside elide_restore is a re-entry edge, but
+  // only a call ends a path: when the branch is not taken, the body goes
+  // on into secret_fn. AUD601 agrees with the AUD402 on that edge.
+  CraftSpec S;
+  poke(S.Text, 0x10, instr(Opcode::Beqz, 0, 1, 0, 0)); // -> 0x1010
+  poke(S.Text, 0x18, instr(Opcode::Jmp, 0, 0, 0, 8));  // -> 0x1020
+  AuditReport R = auditCrafted(S, CheckReachability | CheckOrderliness);
+  EXPECT_EQ(countCode(R, AudRestoreReentry), 1u) << R.renderText();
+  EXPECT_EQ(countCode(R, AudPreRestoreReachesElided), 1u) << R.renderText();
+  ASSERT_EQ(countCode(R, AudPreRestoreEntersRedacted), 1u) << R.renderText();
+  EXPECT_EQ(findCode(R, AudPreRestoreEntersRedacted)->Symbol, "elide_restore");
+}
+
 TEST(OrderlinessCheckTest, Aud605FlagsIncompletableRestore) {
   CraftSpec S;
   poke(S.Text, 0x10, instr(Opcode::Jmp, 0, 0, 0, 0)); // Spin forever.
-  AuditReport R = orderAudit(S);
+  AuditReport R = auditCrafted(S, CheckOrderliness);
   const Diagnostic *D = findCode(R, AudRestoreIncompletable);
   ASSERT_NE(D, nullptr) << R.renderText();
   EXPECT_EQ(D->Sev, Severity::Error);

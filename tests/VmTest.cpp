@@ -504,6 +504,15 @@ TEST(DisassemblerTest, FormatsCommonInstructions) {
             "tcall  #5");
 }
 
+TEST(DisassemblerTest, NamesUndefinedOpcodeBytes) {
+  // Data between functions decodes to bytes no opcode defines; the audit
+  // quotes such slots in its messages.
+  EXPECT_EQ(disassembleInstruction({static_cast<Opcode>(0x7f), 1, 2, 3, 4}, 0),
+            ".op 0x7f");
+  EXPECT_EQ(disassembleInstruction({static_cast<Opcode>(0xff), 0, 0, 0, 0}, 8),
+            ".op 0xff");
+}
+
 TEST(DisassemblerTest, CountsValidSlots) {
   Bytes Code;
   emitInstruction(Code, {Opcode::Add, 1, 2, 3, 0});

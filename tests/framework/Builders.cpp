@@ -116,6 +116,24 @@ void fuzz::mutateElfStructure(Bytes &Elf, Drbg &Rng) {
   }
 }
 
+void fuzz::rebaseFirstSection(Bytes &Elf, uint64_t Delta) {
+  uint64_t ShOff = readLE64(Elf.data() + 40);
+  uint16_t ShNum = readLE16(Elf.data() + 60);
+  for (uint16_t I = 1; I < ShNum; ++I) {
+    uint8_t *H = Elf.data() + ShOff + uint64_t(I) * Elf64ShdrSize;
+    if (I == 1)
+      writeLE64(H + 16, readLE64(H + 16) + Delta); // Addr.
+    if (readLE32(H + 4) != SHT_SYMTAB)
+      continue;
+    // Entry 0 is the null symbol; Shndx(6) Value(8).
+    uint64_t End = readLE64(H + 24) + readLE64(H + 32);
+    for (uint64_t S = readLE64(H + 24) + Elf64SymSize; S < End;
+         S += Elf64SymSize)
+      if (readLE16(Elf.data() + S + 6) == 1)
+        writeLE64(Elf.data() + S + 8, readLE64(Elf.data() + S + 8) + Delta);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol frames
 //===----------------------------------------------------------------------===//

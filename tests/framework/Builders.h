@@ -42,6 +42,12 @@ Bytes buildSeedElf(Drbg &Rng);
 /// carry an ELF header.
 void mutateElfStructure(Bytes &Elf, Drbg &Rng);
 
+/// Moves the first section of an `ElfBuilder` image (section index 1) and
+/// every symbol defined in it by \p Delta, in place. The builder lays
+/// alloc sections out at file offset == address, so a section near 2^64
+/// can only be made this way.
+void rebaseFirstSection(Bytes &Elf, uint64_t Delta);
+
 //===----------------------------------------------------------------------===//
 // Protocol frames
 //===----------------------------------------------------------------------===//

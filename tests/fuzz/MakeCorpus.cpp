@@ -161,6 +161,22 @@ void makeProtocolCorpus() {
   appendLE32(Retired, 296);
   appendBytes(Retired, Rng.bytes(296 + 32));
   emit("protocol", "seed-retired-hello-batch", Retired);
+
+  // Request envelopes (type || version || deadline_ms u32 || criticality
+  // || inner): one well-formed, then one defect each for the strict parser.
+  const Bytes Inner = {FrameRecord, 'X', 'Y'};
+  Bytes Envelope = envelopeFrame(500, Criticality::Default, Inner);
+  emit("protocol", "seed-envelope-record", Envelope);
+  Bytes BadVersion = Envelope;
+  BadVersion[1] = EnvelopeVersion + 1;
+  emit("protocol", "seed-envelope-bad-version", BadVersion);
+  Bytes BadClass = Envelope;
+  BadClass[EnvelopeHeaderSize - 1] = uint8_t(Criticality::Sheddable) + 1;
+  emit("protocol", "seed-envelope-bad-criticality", BadClass);
+  const Bytes NestedHeader = {FrameEnvelope, EnvelopeVersion};
+  emit("protocol", "seed-envelope-nested",
+       envelopeFrame(0, Criticality::Sheddable, NestedHeader));
+  emit("protocol", "seed-envelope-truncated", BytesView(Envelope.data(), 5));
 }
 
 void makeElfCorpus() {
@@ -319,6 +335,49 @@ void makeAuditCorpus() {
     Expected<Bytes> BranchyElf = BB.build();
     if (BranchyElf)
       emit("audit", "seed-flow-checks-branch-web", blob(0x90, 0x08, *BranchyElf));
+  }
+  // Regression: `jmp -0x1008` at 0x1000 targets 2^64 - 8, where the old
+  // in-text tests computed `target + 8` and wrapped to 0. The CFG builder
+  // indexed its slot arrays with the bogus target (a crash under the
+  // default checks) and the reachability walk decoded outside .text.
+  {
+    Bytes Wrap;
+    emitInstruction(Wrap, {Opcode::Jmp, 0, 0, 0, -0x1008});
+    emitInstruction(Wrap, {Opcode::Halt, 0, 0, 0, 0});
+    emitInstruction(Wrap, {Opcode::Nop, 0, 0, 0, 0});
+    emitInstruction(Wrap, {Opcode::Ret, 0, 0, 0, 0});
+    Wrap.resize(Wrap.size() + 4 * SvmInstrSize, 0); // Elided secret_fn.
+    ElfBuilder WB;
+    size_t TI = WB.addProgbits(".text", 0x1000, Wrap,
+                               SHF_ALLOC | SHF_EXECINSTR | SHF_WRITE);
+    WB.addProgbits(".svm.ecalls", 0, bytesOfString("elide_restore\n"), 0);
+    WB.addSymbol("__bridge_elide_restore", 0x1000, 16, STT_FUNC, TI);
+    WB.addSymbol("elide_restore", 0x1010, 16, STT_FUNC, TI);
+    WB.addSymbol("secret_fn", 0x1020, 32, STT_FUNC, TI);
+    Expected<Bytes> WrapElf = WB.build();
+    if (WrapElf)
+      emit("audit", "regression-wrapping-branch-target",
+           blob(0x81, 0x00, *WrapElf));
+  }
+  // Regression: a .text whose last slot ends at 2^64 (`jmp +8; jmp +8;
+  // halt` at 2^64 - 24, elide_restore at its base). The block ending in
+  // `halt` got End == 0, so the walk took it for a trap on an elided slot
+  // and read a region that was not there (a crash under the default
+  // checks).
+  {
+    Bytes Top;
+    emitInstruction(Top, {Opcode::Jmp, 0, 0, 0, 8});
+    emitInstruction(Top, {Opcode::Jmp, 0, 0, 0, 8});
+    emitInstruction(Top, {Opcode::Halt, 0, 0, 0, 0});
+    ElfBuilder TB;
+    size_t TI = TB.addProgbits(".text", 0x1000, Top,
+                               SHF_ALLOC | SHF_EXECINSTR);
+    TB.addSymbol("elide_restore", 0x1000, Top.size(), STT_FUNC, TI);
+    Expected<Bytes> TopElf = TB.build();
+    if (TopElf) {
+      fuzz::rebaseFirstSection(*TopElf, 0ull - Top.size() - 0x1000);
+      emit("audit", "regression-text-end-wraps", blob(0x81, 0x00, *TopElf));
+    }
   }
 }
 
