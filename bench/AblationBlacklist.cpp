@@ -17,17 +17,12 @@
 #include "bench/BenchCommon.h"
 #include "support/Stats.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace elide;
 using namespace elide::bench;
 
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   BenchScenario &S = scenarioFor("AES", SecretStorage::Remote);
 
   // Increasingly complete manual annotation sets a developer might write.

@@ -21,8 +21,6 @@
 #include "support/File.h"
 #include "support/Stats.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace elide;
@@ -99,52 +97,7 @@ void seedCache(BenchScenario &S, const std::string &Path) {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  for (const apps::AppSpec &App : apps::allApps()) {
-    benchmark::RegisterBenchmark(
-        ("BM_FailoverHealthy/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          Provisioner Chain(benchBreakers());
-          Chain.addEndpoint("primary", S.Link.get());
-          Chain.addEndpoint("secondary", S.Link.get());
-          for (auto _ : State)
-            benchmark::DoNotOptimize(restoreOnce(S, &Chain));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-    benchmark::RegisterBenchmark(
-        ("BM_FailoverFirstDead/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          DeadTransport Dead;
-          Provisioner Chain(benchBreakers());
-          Chain.addEndpoint("dead-primary", &Dead);
-          Chain.addEndpoint("secondary", S.Link.get());
-          for (auto _ : State)
-            benchmark::DoNotOptimize(restoreOnce(S, &Chain));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-    benchmark::RegisterBenchmark(
-        ("BM_FailoverCacheOnly/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          std::string Path = cachePathFor(App.Name);
-          seedCache(S, Path);
-          DeadTransport Dead;
-          Provisioner Chain(benchBreakers());
-          Chain.addEndpoint("dead-primary", &Dead);
-          Chain.addEndpoint("dead-secondary", &Dead);
-          for (auto _ : State)
-            benchmark::DoNotOptimize(restoreOnce(S, &Chain, Path));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   printTableHeader("Ablation: provisioning failover -- restore latency by "
                    "degradation level");
   std::printf("%-9s %14s %18s %16s\n", "Bench", "Healthy (ms)",

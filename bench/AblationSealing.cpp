@@ -16,8 +16,6 @@
 #include "bench/BenchCommon.h"
 #include "support/Stats.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace elide;
@@ -51,21 +49,7 @@ double relaunchOnce(BenchScenario &S, ElideHost &Host) {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  for (const apps::AppSpec &App : apps::allApps()) {
-    benchmark::RegisterBenchmark(
-        ("BM_FirstLaunchRestore/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          for (auto _ : State)
-            benchmark::DoNotOptimize(firstLaunchOnce(S));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   printTableHeader("Ablation: sealing fast path (paper step 7) -- restore "
                    "latency, first launch vs relaunch");
   std::printf("%-9s %18s %18s %9s %12s\n", "Bench", "First launch (ms)",

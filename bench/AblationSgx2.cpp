@@ -21,8 +21,6 @@
 #include "server/Transport.h"
 #include "support/Stats.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace elide;
@@ -114,10 +112,7 @@ RunResult runOnce(Sgx2Scenario &S) {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n==============================================================="
               "================\n  Ablation: SGX1 permanent PF_W vs SGX2 "
               "post-restore lockdown (paper sec. 7)\n"

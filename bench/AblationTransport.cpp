@@ -17,10 +17,9 @@
 
 #include "bench/BenchCommon.h"
 #include "server/FaultInjection.h"
+#include "server/Reactor.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/Stats.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -76,54 +75,7 @@ RestorePolicy patientPolicy() {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  for (const apps::AppSpec &App : apps::allApps()) {
-    benchmark::RegisterBenchmark(
-        ("BM_RestoreLoopback/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          for (auto _ : State)
-            benchmark::DoNotOptimize(
-                restoreOnce(S, S.Link.get(), RestorePolicy{}));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-    benchmark::RegisterBenchmark(
-        ("BM_RestoreTcp/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          Expected<std::unique_ptr<TcpServer>> Tcp =
-              TcpServer::start(*S.Server);
-          if (!Tcp)
-            std::abort();
-          TcpClientTransport Client("127.0.0.1", (*Tcp)->port());
-          for (auto _ : State)
-            benchmark::DoNotOptimize(
-                restoreOnce(S, &Client, RestorePolicy{}));
-          (*Tcp)->stop();
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-    benchmark::RegisterBenchmark(
-        ("BM_RestoreTcpLossy/" + App.Name).c_str(),
-        [&App](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, SecretStorage::Remote);
-          Expected<std::unique_ptr<TcpServer>> Tcp =
-              TcpServer::start(*S.Server);
-          if (!Tcp)
-            std::abort();
-          TcpClientTransport Client("127.0.0.1", (*Tcp)->port());
-          FaultInjectingTransport Lossy(Client, lossyPlan(99));
-          for (auto _ : State)
-            benchmark::DoNotOptimize(restoreOnce(S, &Lossy, patientPolicy()));
-          (*Tcp)->stop();
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(PaperRuns);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   printTableHeader("Ablation: transport path -- first-launch restore latency "
                    "by channel");
   std::printf("%-9s %14s %14s %18s %10s\n", "Bench", "Loopback (ms)",
@@ -139,7 +91,10 @@ int main(int argc, char **argv) {
     for (int Run = 0; Run < PaperRuns; ++Run)
       Loop.push_back(restoreOnce(S, S.Link.get(), RestorePolicy{}));
 
-    Expected<std::unique_ptr<TcpServer>> Net = TcpServer::start(*S.Server);
+    Expected<std::unique_ptr<ReactorServer>> Net = ReactorServer::start(
+        [&S](BytesView Request, const FrameContext &Ctx) {
+          return S.Server->handle(Request, Ctx);
+        });
     if (!Net)
       std::abort();
     TcpClientTransport Client("127.0.0.1", (*Net)->port());

@@ -8,7 +8,7 @@
 /// Scenario plumbing shared by the table/figure benchmark binaries: build
 /// artifacts per app (cached -- compilation is not what the paper times),
 /// provisioned servers, and launch/restore helpers. Each binary prints a
-/// paper-style table in addition to the google-benchmark rows.
+/// paper-style table.
 ///
 //===----------------------------------------------------------------------===//
 

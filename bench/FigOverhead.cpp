@@ -10,8 +10,6 @@
 #include "support/Stats.h"
 #include "vm/ExecBackend.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -29,9 +27,8 @@ constexpr int PaperRuns = 10;
 /// are interchangeable at app level (ablation_dispatch measures the delta).
 std::optional<VmBackendKind> BackendOverride;
 
-/// Strips `--svm-backend NAME` from argv (google-benchmark rejects flags it
-/// does not know) and records the override. Returns false on a bad name.
-bool consumeBackendFlag(int &argc, char **argv) {
+/// Records the `--svm-backend NAME` override. Returns false on a bad name.
+bool parseBackendFlag(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--svm-backend") != 0)
       continue;
@@ -45,9 +42,6 @@ bool consumeBackendFlag(int &argc, char **argv) {
       return false;
     }
     BackendOverride = *Kind;
-    for (int J = I + 2; J < argc; ++J)
-      argv[J - 2] = argv[J];
-    argc -= 2;
     return true;
   }
   return true;
@@ -99,34 +93,8 @@ double runElideOnce(BenchScenario &S) {
 
 int bench::runOverheadFigure(int argc, char **argv, SecretStorage Storage,
                              const char *FigureName) {
-  if (!consumeBackendFlag(argc, argv))
+  if (!parseBackendFlag(argc, argv))
     return 2;
-
-  // google-benchmark rows.
-  for (const apps::AppSpec &App : apps::allApps()) {
-    if (App.IsGame)
-      continue;
-    benchmark::RegisterBenchmark(
-        ("BM_WithSgx/" + App.Name).c_str(),
-        [&App, Storage](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, Storage);
-          for (auto _ : State)
-            benchmark::DoNotOptimize(runBaselineOnce(S));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
-    benchmark::RegisterBenchmark(
-        ("BM_WithSgxElide/" + App.Name).c_str(),
-        [&App, Storage](benchmark::State &State) {
-          BenchScenario &S = scenarioFor(App.Name, Storage);
-          for (auto _ : State)
-            benchmark::DoNotOptimize(runElideOnce(S));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   // The figure's data series.
   printTableHeader(std::string(FigureName) +

@@ -23,7 +23,7 @@ namespace elide {
 namespace bench {
 
 /// Runs the experiment for one storage mode and prints the figure's data
-/// series (plus google-benchmark rows). Returns main()'s exit status.
+/// series. Returns main()'s exit status.
 int runOverheadFigure(int argc, char **argv, SecretStorage Storage,
                       const char *FigureName);
 

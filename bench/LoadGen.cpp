@@ -209,13 +209,18 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
                        : std::max<size_t>(16384, 2 * Config.TargetSessions);
   AuthServer Server(std::move(SC));
 
-  TcpServerConfig TC;
-  TC.WorkerThreads = Config.ServerWorkers;
+  ReactorConfig RC;
+  RC.WorkerThreads = Config.ServerWorkers;
   // Ballast connections idle across the whole run; they must outlive it.
-  TC.ReadTimeoutMs = Config.DurationMs + 120000;
-  TC.MaxConnections = Config.MaxConnections;
-  TC.ForcePollBackend = Config.ForcePollBackend;
-  ELIDE_TRY(std::unique_ptr<TcpServer> Tcp, TcpServer::start(Server, TC));
+  RC.ReadTimeoutMs = Config.DurationMs + 120000;
+  RC.MaxConnections = Config.MaxConnections;
+  RC.ForcePollBackend = Config.ForcePollBackend;
+  ELIDE_TRY(std::unique_ptr<ReactorServer> Tcp,
+            ReactorServer::start(
+                [&Server](BytesView Request, const FrameContext &Ctx) {
+                  return Server.handle(Request, Ctx);
+                },
+                RC));
 
   // Ballast pool: persistent idle sockets the reactor must keep holding
   // while it serves the throughput traffic below.
@@ -333,7 +338,7 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
                               ? FaultyRecords.stats().Injected
                               : 0;
   Report.Server = Server.stats();
-  Report.Reactor = Tcp->reactor().stats();
+  Report.Reactor = Tcp->stats();
   Report.MaxConcurrentConnections = Report.Reactor.MaxConcurrentConnections;
   Tcp->stop();
   return Report;

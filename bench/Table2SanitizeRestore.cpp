@@ -9,15 +9,12 @@
 /// restoration time (attestation handshake + metadata + data transfer +
 /// self-modifying copy), for remote-data and local-data modes, reported as
 /// the average and standard deviation of 10 runs -- the paper's exact
-/// methodology. Also registers the same measurements as google-benchmark
-/// rows.
+/// methodology.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 #include "support/Stats.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -39,7 +36,6 @@ double sanitizeOnce(BenchScenario &S) {
                  Result.errorMessage().c_str());
     std::abort();
   }
-  benchmark::DoNotOptimize(Result->SecretData.data());
   return Ms;
 }
 
@@ -57,34 +53,9 @@ double restoreOnce(BenchScenario &S) {
   return Ms;
 }
 
-void registerGoogleBenchmarks() {
-  for (const apps::AppSpec &App : apps::allApps()) {
-    for (SecretStorage Mode :
-         {SecretStorage::Remote, SecretStorage::Local}) {
-      std::string Suffix =
-          App.Name + (Mode == SecretStorage::Remote ? "/remote" : "/local");
-      benchmark::RegisterBenchmark(
-          ("BM_Sanitize/" + Suffix).c_str(),
-          [&App, Mode](benchmark::State &State) {
-            BenchScenario &S = scenarioFor(App.Name, Mode);
-            for (auto _ : State)
-              sanitizeOnce(S);
-          })
-          ->Unit(benchmark::kMillisecond);
-      benchmark::RegisterBenchmark(
-          ("BM_Restore/" + Suffix).c_str(),
-          [&App, Mode](benchmark::State &State) {
-            BenchScenario &S = scenarioFor(App.Name, Mode);
-            for (auto _ : State)
-              restoreOnce(S);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(PaperRuns);
-    }
-  }
-}
+} // namespace
 
-void printPaperTable() {
+int main() {
   printTableHeader("Table 2: sanitization/restoration execution time (ms), "
                    "avg +/- stddev of 10 runs");
   std::printf("%-9s | %-23s | %-23s\n", "", "Remote data", "Local data");
@@ -118,14 +89,5 @@ void printPaperTable() {
   std::printf("\nPaper shape to check: sanitize ~constant per mode and "
               "slightly slower in local\nmode (the sanitizer also encrypts); "
               "restore a few ms, similar across modes.\n");
-}
-
-} // namespace
-
-int main(int argc, char **argv) {
-  registerGoogleBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  printPaperTable();
   return 0;
 }

@@ -19,6 +19,7 @@
 #include "elide/HostRuntime.h"
 #include "elide/Pipeline.h"
 #include "server/AuthServer.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/File.h"
@@ -59,7 +60,10 @@ int main() {
   Config.Meta = Artifacts->Meta;
   Config.SecretData = Artifacts->SecretData;
   AuthServer Server(std::move(Config));
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(Server);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&Server](BytesView Request, const FrameContext &Ctx) {
+        return Server.handle(Request, Ctx);
+      });
   if (!Tcp) {
     std::fprintf(stderr, "server start failed: %s\n",
                  Tcp.errorMessage().c_str());

@@ -7,6 +7,7 @@
 #include "elf/ElfBuilder.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <map>
 
@@ -110,6 +111,8 @@ Expected<Bytes> ElfBuilder::build() const {
     if (Sec.Addr < PrevEnd)
       return makeError("section " + Sec.Name +
                        " overlaps headers or a previous section");
+    if (Sec.MemSize > UINT64_MAX - Sec.Addr)
+      return makeError("section " + Sec.Name + " ends past 2^64");
     PrevEnd = Sec.Addr + (Sec.Type == SHT_NOBITS ? 0 : Sec.MemSize);
   }
 

@@ -60,31 +60,29 @@ elide::buildProtectedEnclave(const std::vector<elc::SourceFile> &AppSources,
 
   // 5. Self-audit: statically verify the sanitized image leaks nothing
   //    about the elided code before it is allowed to ship.
-  if (Options.SelfAudit) {
-    ELIDE_TRY(ElfImage Image, ElfImage::parse(Out.SanitizedElf));
-    // In Remote mode SecretData *is* the plaintext; in Local mode it is
-    // ciphertext, so diff against the original text from the plain image.
-    Bytes Plaintext;
-    if (Options.Storage == SecretStorage::Remote) {
-      Plaintext = Out.SecretData;
-    } else {
-      ELIDE_TRY(ElfImage Plain, ElfImage::parse(Out.PlainElf));
-      if (const ElfSection *Text = Plain.sectionByName(".text"))
-        Plaintext = Plain.sectionContents(*Text);
-    }
-    analysis::AuditInput Input = auditInputFor(
-        Image, Sanitized.ElidedRegions, Keep, Out.Meta, Plaintext);
-    analysis::AuditOptions AuditOpts;
-    AuditOpts.Mode = (Options.Attributes & sgx::AttrSgx2DynamicPerms)
-                         ? analysis::SgxMode::Sgx2
-                         : analysis::SgxMode::Sgx1;
-    if (Options.FlowAudit)
-      AuditOpts.Checks = analysis::CheckEverything;
-    Out.Audit = analysis::runAudit(Input, AuditOpts);
-    if (Out.Audit.Errors > 0)
-      return makeError("self-audit rejected the sanitized enclave:\n" +
-                       Out.Audit.renderText());
+  ELIDE_TRY(ElfImage Image, ElfImage::parse(Out.SanitizedElf));
+  // In Remote mode SecretData *is* the plaintext; in Local mode it is
+  // ciphertext, so diff against the original text from the plain image.
+  Bytes Plaintext;
+  if (Options.Storage == SecretStorage::Remote) {
+    Plaintext = Out.SecretData;
+  } else {
+    ELIDE_TRY(ElfImage Plain, ElfImage::parse(Out.PlainElf));
+    if (const ElfSection *Text = Plain.sectionByName(".text"))
+      Plaintext = Plain.sectionContents(*Text);
   }
+  analysis::AuditInput Input = auditInputFor(
+      Image, Sanitized.ElidedRegions, Keep, Out.Meta, Plaintext);
+  analysis::AuditOptions AuditOpts;
+  AuditOpts.Mode = (Options.Attributes & sgx::AttrSgx2DynamicPerms)
+                       ? analysis::SgxMode::Sgx2
+                       : analysis::SgxMode::Sgx1;
+  if (Options.FlowAudit)
+    AuditOpts.Checks = analysis::CheckEverything;
+  Out.Audit = analysis::runAudit(Input, AuditOpts);
+  if (Out.Audit.Errors > 0)
+    return makeError("self-audit rejected the sanitized enclave:\n" +
+                     Out.Audit.renderText());
   return Out;
 }
 

@@ -34,14 +34,12 @@ struct BuildOptions {
   uint64_t Attributes = sgx::AttrDebug;
   sgx::EnclaveLayout Layout;
   uint64_t RngSeed = 7;
-  /// Run the static secrecy audit over the sanitized image and fail the
-  /// build on any error-severity diagnostic. On by default: a build that
-  /// ships a leaky image should not succeed quietly.
-  bool SelfAudit = true;
   /// Additionally run the constant-time/taint-flow families (AUD 5xx)
-  /// in the self-audit. Off by default: table-driven crypto kernels are
-  /// legitimately non-constant-time in this ISA, so these checks express
-  /// a per-enclave policy rather than a universal invariant.
+  /// in the self-audit, which always runs over the sanitized image and
+  /// fails the build on any error-severity diagnostic. Off by default:
+  /// table-driven crypto kernels are legitimately non-constant-time in
+  /// this ISA, so these checks express a per-enclave policy rather than
+  /// a universal invariant.
   bool FlowAudit = false;
 };
 
@@ -65,7 +63,7 @@ struct BuildArtifacts {
   size_t TrustedTextBytes = 0;
   /// Wall-clock milliseconds spent inside sanitizeEnclave (Table 2).
   double SanitizeMs = 0.0;
-  /// Self-audit findings (empty when `SelfAudit` is off or clean).
+  /// Self-audit findings (empty when clean).
   analysis::AuditReport Audit;
 };
 

@@ -13,6 +13,16 @@
 
 using namespace elide;
 
+namespace {
+
+/// Retry-budget token ceiling (bounds the burst after a long healthy run).
+constexpr double RetryBudgetMax = 10.0;
+/// Tokens earned per successful exchange. 0.1 caps sustained retries near
+/// 10% of successful traffic -- the classic retry budget ratio.
+constexpr double RetryBudgetEarnPerSuccess = 0.1;
+
+} // namespace
+
 const char *elide::provisionEventKindName(ProvisionEventKind Kind) {
   switch (Kind) {
   case ProvisionEventKind::EndpointAttempt:
@@ -126,8 +136,7 @@ Provisioner::Provisioner(ProvisionerConfig Config)
     : Config(std::move(Config)) {
   if (this->Config.RetryBudgetInitial >= 0.0) {
     BudgetEnabled = true;
-    RetryBudget = std::min(this->Config.RetryBudgetInitial,
-                           this->Config.RetryBudgetMax);
+    RetryBudget = std::min(this->Config.RetryBudgetInitial, RetryBudgetMax);
   }
 }
 
@@ -180,8 +189,8 @@ bool Provisioner::spendTokenLocked(const char *What) {
 void Provisioner::earnTokenLocked() {
   if (!BudgetEnabled)
     return;
-  RetryBudget = std::min(RetryBudget + Config.RetryBudgetEarnPerSuccess,
-                         Config.RetryBudgetMax);
+  RetryBudget = std::min(RetryBudget + RetryBudgetEarnPerSuccess,
+                         RetryBudgetMax);
 }
 
 void Provisioner::emit(const ProvisionEvent &Event) const {

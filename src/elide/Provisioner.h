@@ -179,15 +179,10 @@ struct ProvisionerConfig {
   // amplification factor decays toward 1 instead of multiplying by the
   // chain length.
 
-  /// Initial token balance; < 0 disables the budget entirely (legacy
-  /// unbounded-retry behavior, the ablation baseline).
+  /// Initial token balance, capped at 10; < 0 disables the budget
+  /// entirely (legacy unbounded-retry behavior, the ablation baseline).
+  /// Each success earns back 0.1 token.
   double RetryBudgetInitial = -1.0;
-  /// Token balance ceiling (bounds the burst after a long healthy run).
-  double RetryBudgetMax = 10.0;
-  /// Tokens earned per successful exchange. 0.1 means sustained retries
-  /// are capped near 10% of successful traffic -- the classic retry
-  /// budget ratio.
-  double RetryBudgetEarnPerSuccess = 0.1;
 };
 
 /// The remote head of the failover chain. Implements `Transport`, so the

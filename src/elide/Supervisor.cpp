@@ -12,6 +12,13 @@
 
 using namespace elide;
 
+namespace {
+
+/// Ceiling of the doubling quarantine backoff.
+constexpr long long RecoveryBackoffMaxMs = 2000;
+
+} // namespace
+
 const char *elide::lifecycleStateName(LifecycleState State) {
   switch (State) {
   case LifecycleState::Created:
@@ -128,8 +135,6 @@ Error EnclaveSupervisor::load() {
   if (!Built)
     return Built.takeError();
   Live = Built.takeValue();
-  if (Config.EcallInstructionBudget > 0)
-    Live->setInstructionBudget(Config.EcallInstructionBudget);
   Host.attach(*Live);
   Generation.fetch_add(1);
   State.store(LifecycleState::Loaded);
@@ -260,7 +265,7 @@ long long EnclaveSupervisor::backoffForCrashLocked(int Crash) {
   long long Base = std::max<long long>(0, Config.RecoveryBackoffBaseMs);
   if (Base == 0)
     return 0;
-  long long Max = std::max(Base, Config.RecoveryBackoffMaxMs);
+  long long Max = std::max(Base, RecoveryBackoffMaxMs);
   long long Backoff = Base;
   for (int I = 1; I < Crash && Backoff < Max; ++I)
     Backoff = std::min(Backoff * 2, Max);
@@ -284,8 +289,6 @@ Error EnclaveSupervisor::recoverLocked() {
                        "recovery rebuild failed: " + Built.errorMessage());
   }
   Live = Built.takeValue();
-  if (Config.EcallInstructionBudget > 0)
-    Live->setInstructionBudget(Config.EcallInstructionBudget);
   Host.attach(*Live);
   Generation.fetch_add(1);
   State.store(LifecycleState::Loaded);

@@ -107,17 +107,12 @@ using EnclaveFactory =
 
 /// Supervision knobs.
 struct SupervisorConfig {
-  /// Per-ecall instruction budget applied to every built enclave
-  /// (0 = keep the enclave's default). The runaway watchdog.
-  uint64_t EcallInstructionBudget = 0;
   /// Consecutive non-contained faults tolerated before the enclave is
   /// retired for good (the crash-loop circuit breaker).
   int MaxCrashLoops = 5;
   /// Quarantine backoff before the first recovery attempt; doubles per
-  /// consecutive fault up to `RecoveryBackoffMaxMs`. 0 = recover on the
-  /// next call (tests).
+  /// consecutive fault up to 2 s. 0 = recover on the next call (tests).
   long long RecoveryBackoffBaseMs = 50;
-  long long RecoveryBackoffMaxMs = 2000;
   /// Seed for the backoff jitter (+0..50% per quarantine).
   uint64_t JitterSeed = 1;
   /// Restore policy for the initial restore and every recovery restore.

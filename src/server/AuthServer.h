@@ -133,10 +133,10 @@ struct AuthServerStats {
 
 /// A multi-session authentication server. Transport-agnostic: feed it
 /// request frames, send back its response frames (LoopbackTransport does
-/// this in-process; the reactor-backed TcpServer over sockets). `handle`
-/// is thread-safe and mostly lock-free: concurrent quote verifications,
-/// GCM passes, and session lookups in different stripes all proceed in
-/// parallel.
+/// this in-process; a `ReactorServer` whose handler calls `handle` does it
+/// over sockets). `handle` is thread-safe and mostly lock-free: concurrent
+/// quote verifications, GCM passes, and session lookups in different
+/// stripes all proceed in parallel.
 class AuthServer {
 public:
   explicit AuthServer(AuthServerConfig Config);

@@ -58,6 +58,11 @@ constexpr uint8_t FrameOverloaded = 0xb5;
 constexpr uint8_t RequestMeta = 0x4d; // 'M'
 constexpr uint8_t RequestData = 0x44; // 'D'
 
+/// Largest frame either end of a TCP connection accepts. Over TCP every
+/// frame travels behind a u32 little-endian length prefix; a prefix above
+/// this bound is refused before anything is allocated for the body.
+constexpr uint32_t MaxFrameBytes = 64u << 20;
+
 /// Wire size of the session id carried by HELLO-OK and client records.
 constexpr size_t SessionIdSize = 8;
 

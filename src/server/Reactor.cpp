@@ -22,6 +22,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// listen(2) backlog.
+constexpr int ListenBacklog = 64;
+
+/// Retry-after hint carried by the OVERLOADED frames sent to accepted-
+/// but-unserved connections during a stop() drain.
+constexpr uint32_t DrainRetryAfterMs = 50;
+
 void setNonBlocking(int Fd) {
   int Flags = ::fcntl(Fd, F_GETFL, 0);
   if (Flags >= 0)
@@ -100,7 +107,7 @@ ReactorServer::start(ContextFrameHandler Handler, const ReactorConfig &Config) {
     ::close(Fd);
     return makeError(std::string("bind: ") + std::strerror(errno));
   }
-  if (::listen(Fd, Config.Backlog) < 0) {
+  if (::listen(Fd, ListenBacklog) < 0) {
     ::close(Fd);
     return makeError(std::string("listen: ") + std::strerror(errno));
   }
@@ -362,9 +369,9 @@ void ReactorServer::readReady(Conn &C) {
 
     if (!C.HaveHeader) {
       uint32_t Len = readLE32(C.In.data());
-      if (Len > Config.MaxFrameBytes) {
-        // Same contract as the old transport: an oversized length prefix
-        // is a protocol violation, closed without a response.
+      if (Len > MaxFrameBytes) {
+        // An oversized length prefix is a protocol violation, closed
+        // without a response.
         requestClose(C);
         return;
       }
@@ -554,7 +561,7 @@ void ReactorServer::beginDrain() {
         // instead of burning its read deadline on a dead socket.
         DrainNotified.fetch_add(1);
         C->CloseAfterWrite = true;
-        armWrite(*C, overloadedFrame(Config.DrainRetryAfterMs));
+        armWrite(*C, overloadedFrame(DrainRetryAfterMs));
         if (Loop->mod(Fd, EvWrite, C.get())) {
           requestClose(*C);
           break;

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event-driven transport core under `TcpServer`: one reactor thread
-/// multiplexes every connection over an `EventLoop` (epoll, with a poll
-/// fallback), while a fixed worker pool runs the frame handler -- the CPU
-/// work of quote verification and GCM -- off the IO path. Compared to the
-/// former thread-per-connection queue, concurrency is now bounded by
-/// memory per connection rather than by threads, so thousands of idle or
-/// slow clients cost a few kilobytes each instead of a stack each.
+/// The authentication server's TCP front end: a `ReactorServer` whose
+/// handler calls `AuthServer::handle` serves the clients'
+/// `TcpClientTransport`s. One reactor thread multiplexes every connection
+/// over an `EventLoop` (epoll, with a poll fallback), while a fixed worker
+/// pool runs the frame handler -- the CPU work of quote verification and
+/// GCM -- off the IO path. Concurrency is bounded by memory per
+/// connection rather than by threads, so thousands of idle or slow
+/// clients cost a few kilobytes each instead of a stack each.
 ///
 /// Per-connection state machine:
 ///
@@ -28,7 +29,7 @@
 ///
 /// `stop()` drains rather than drops: the listener closes immediately,
 /// accepted-but-unserved connections get an explicit OVERLOADED frame
-/// (with a retry-after hint) instead of a silent RST, in-flight
+/// (with a 50 ms retry-after hint) instead of a silent RST, in-flight
 /// exchanges finish bounded by their IO deadlines, and only then do the
 /// threads join.
 ///
@@ -85,18 +86,11 @@ struct ReactorConfig {
   int ReadTimeoutMs = 5000;
   /// Deadline for flushing one full response to a connection.
   int WriteTimeoutMs = 5000;
-  /// listen(2) backlog.
-  int Backlog = 64;
-  /// Largest frame the server will accept.
-  uint32_t MaxFrameBytes = 64u << 20;
   /// Connection cap: accepted connections beyond this many concurrently
   /// served are shed with an OVERLOADED frame. 0 = no cap.
   size_t MaxConnections = 0;
   /// Retry-after hint carried by cap-shed responses.
   uint32_t OverloadRetryAfterMs = 100;
-  /// Retry-after hint carried by the OVERLOADED frames sent to accepted-
-  /// but-unserved connections during a stop() drain.
-  uint32_t DrainRetryAfterMs = 50;
   /// Selects the poll(2) backend even where epoll is available (the test
   /// suite pins the fallback with this so it never rots).
   bool ForcePollBackend = false;

@@ -66,15 +66,11 @@ struct Deadline {
 
   static Deadline in(int Ms) { return {Clock::now() + std::chrono::milliseconds(Ms)}; }
 
-  /// Milliseconds left, clamped to [0, Slice]. Polling in slices lets the
-  /// server observe its stop flag while parked on a quiet connection.
-  int remainingMs(int Slice = 100) const {
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    At - Clock::now())
+  /// Milliseconds left, rounded up so a poll never wakes before `At`.
+  int remainingMs() const {
+    auto Left = std::chrono::ceil<std::chrono::milliseconds>(At - Clock::now())
                     .count();
-    if (Left <= 0)
-      return 0;
-    return static_cast<int>(Left < Slice ? Left : Slice);
+    return Left > 0 ? static_cast<int>(Left) : 0;
   }
 
   bool expired() const { return Clock::now() >= At; }
@@ -87,15 +83,11 @@ void setNonBlocking(int Fd) {
 }
 
 /// Waits until \p Fd is ready for \p Events. Returns +1 ready, 0 deadline
-/// expired (or \p Stop raised), -1 socket error.
-int waitReady(int Fd, short Events, const Deadline &D,
-              const std::atomic<bool> *Stop) {
+/// expired, -1 socket error.
+int waitReady(int Fd, short Events, const Deadline &D) {
   for (;;) {
-    if (Stop && Stop->load())
-      return 0;
-    int Ms = D.remainingMs();
     pollfd Pfd{Fd, Events, 0};
-    int N = ::poll(&Pfd, 1, Ms ? Ms : 0);
+    int N = ::poll(&Pfd, 1, D.remainingMs());
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -110,10 +102,10 @@ int waitReady(int Fd, short Events, const Deadline &D,
 
 /// Writes all of \p Data before the deadline, riding out short writes.
 Error sendAllDeadline(int Fd, const uint8_t *Data, size_t Len,
-                      const Deadline &D, const std::atomic<bool> *Stop) {
+                      const Deadline &D) {
   size_t Sent = 0;
   while (Sent < Len) {
-    int Ready = waitReady(Fd, POLLOUT, D, Stop);
+    int Ready = waitReady(Fd, POLLOUT, D);
     if (Ready < 0)
       return makeTransportError(TransportErrc::PeerClosed,
                                 std::string("send poll failed: ") +
@@ -137,15 +129,10 @@ Error sendAllDeadline(int Fd, const uint8_t *Data, size_t Len,
 }
 
 /// Reads exactly \p Len bytes before the deadline, riding out short reads.
-/// \p GotOut reports progress so callers can tell "clean close between
-/// frames" from "peer vanished mid-frame".
-Error recvAllDeadline(int Fd, uint8_t *Data, size_t Len, const Deadline &D,
-                      const std::atomic<bool> *Stop, size_t *GotOut = nullptr) {
+Error recvAllDeadline(int Fd, uint8_t *Data, size_t Len, const Deadline &D) {
   size_t Got = 0;
   while (Got < Len) {
-    if (GotOut)
-      *GotOut = Got;
-    int Ready = waitReady(Fd, POLLIN, D, Stop);
+    int Ready = waitReady(Fd, POLLIN, D);
     if (Ready < 0)
       return makeTransportError(TransportErrc::PeerClosed,
                                 std::string("recv poll failed: ") +
@@ -170,93 +157,41 @@ Error recvAllDeadline(int Fd, uint8_t *Data, size_t Len, const Deadline &D,
     }
     Got += static_cast<size_t>(N);
   }
-  if (GotOut)
-    *GotOut = Got;
   return Error::success();
 }
 
-Error sendFrameDeadline(int Fd, BytesView Frame, const Deadline &D,
-                        const std::atomic<bool> *Stop) {
+Error sendFrameDeadline(int Fd, BytesView Frame, const Deadline &D) {
   uint8_t Len[4];
   writeLE32(Len, static_cast<uint32_t>(Frame.size()));
-  if (Error E = sendAllDeadline(Fd, Len, 4, D, Stop))
+  if (Error E = sendAllDeadline(Fd, Len, 4, D))
     return E;
-  return sendAllDeadline(Fd, Frame.data(), Frame.size(), D, Stop);
+  return sendAllDeadline(Fd, Frame.data(), Frame.size(), D);
 }
 
-Expected<Bytes> recvFrameDeadline(int Fd, const Deadline &D,
-                                  uint32_t MaxFrameBytes,
-                                  const std::atomic<bool> *Stop,
-                                  size_t *GotOut = nullptr) {
+Expected<Bytes> recvFrameDeadline(int Fd, const Deadline &D) {
   uint8_t LenBytes[4];
-  if (Error E = recvAllDeadline(Fd, LenBytes, 4, D, Stop, GotOut))
+  if (Error E = recvAllDeadline(Fd, LenBytes, 4, D))
     return E;
   uint32_t Len = readLE32(LenBytes);
   if (Len > MaxFrameBytes)
     return makeTransportError(TransportErrc::FrameTooLarge,
                               "frame too large: " + std::to_string(Len));
   Bytes Frame(Len);
-  if (Len) {
-    size_t Got = 0;
-    if (Error E = recvAllDeadline(Fd, Frame.data(), Len, D, Stop, &Got)) {
-      if (GotOut)
-        *GotOut += Got;
-      return E;
-    }
-    if (GotOut)
-      *GotOut += Len;
-  }
+  if (Error E = recvAllDeadline(Fd, Frame.data(), Len, D))
+    return E;
   return Frame;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// TcpServer
-//===----------------------------------------------------------------------===//
-
-Expected<std::unique_ptr<TcpServer>>
-TcpServer::start(AuthServer &Server, const TcpServerConfig &Config) {
-  ReactorConfig RC;
-  RC.WorkerThreads = Config.WorkerThreads;
-  RC.ReadTimeoutMs = Config.ReadTimeoutMs;
-  RC.WriteTimeoutMs = Config.WriteTimeoutMs;
-  RC.Backlog = Config.Backlog;
-  RC.MaxFrameBytes = Config.MaxFrameBytes;
-  RC.MaxConnections = Config.MaxConnections;
-  RC.OverloadRetryAfterMs = Config.OverloadRetryAfterMs;
-  RC.ForcePollBackend = Config.ForcePollBackend;
-  ELIDE_TRY(std::unique_ptr<ReactorServer> Impl,
-            ReactorServer::start(
-                [Srv = &Server](BytesView Req, const FrameContext &Ctx) {
-                  return Srv->handle(Req, Ctx);
-                },
-                RC));
-  std::unique_ptr<TcpServer> S(new TcpServer());
-  S->Impl = std::move(Impl);
-  return S;
-}
-
-void TcpServer::stop() { Impl->stop(); }
-
-TcpServerStats TcpServer::stats() const {
-  ReactorStats R = Impl->stats();
-  TcpServerStats S;
-  S.ConnectionsAccepted = R.ConnectionsAccepted;
-  S.ConnectionsShed = R.ConnectionsShed;
-  S.FramesServed = R.FramesServed;
-  S.ReadTimeouts = R.ReadTimeouts;
-  S.WriteTimeouts = R.WriteTimeouts;
-  return S;
-}
-
-TcpServer::~TcpServer() = default;
-
-//===----------------------------------------------------------------------===//
 // TcpClientTransport
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Ceiling of the exponential retry backoff.
+constexpr long long BackoffMaxMs = 1000;
 
 /// RAII socket close.
 struct FdGuard {
@@ -289,7 +224,7 @@ Expected<int> connectDeadline(const std::string &Host, uint16_t Port,
       return makeTransportError(TransportErrc::ConnectFailed,
                                 std::string("connect: ") +
                                     std::strerror(errno));
-    int Ready = waitReady(Fd, POLLOUT, Deadline::in(TimeoutMs), nullptr);
+    int Ready = waitReady(Fd, POLLOUT, Deadline::in(TimeoutMs));
     if (Ready <= 0)
       return makeTransportError(TransportErrc::ConnectTimeout,
                                 "connect timed out after " +
@@ -313,10 +248,9 @@ Expected<Bytes> TcpClientTransport::attemptOnce(BytesView Request,
                                                 int IoTimeoutMs) {
   ELIDE_TRY(int Fd, connectDeadline(Host, Port, ConnectTimeoutMs));
   FdGuard Guard{Fd};
-  if (Error E =
-          sendFrameDeadline(Fd, Request, Deadline::in(IoTimeoutMs), nullptr))
+  if (Error E = sendFrameDeadline(Fd, Request, Deadline::in(IoTimeoutMs)))
     return E;
-  return recvFrameDeadline(Fd, Deadline::in(IoTimeoutMs), 64u << 20, nullptr);
+  return recvFrameDeadline(Fd, Deadline::in(IoTimeoutMs));
 }
 
 Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
@@ -350,16 +284,18 @@ Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
   };
 
   Error Last;
-  std::optional<uint32_t> OverloadHint;
+  long long Backoff = 0;
   for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
     if (Attempt > 1) {
       // Exponential backoff with deterministic jitter: base * 2^(n-1),
       // capped, plus up to 50% random spread so a fleet of clients
       // recovering from the same outage does not reconnect in lockstep.
-      long long Backoff = static_cast<long long>(Config.BackoffBaseMs)
-                          << (Attempt - 2);
-      if (Backoff > Config.BackoffMaxMs)
-        Backoff = Config.BackoffMaxMs;
+      // Doubling the capped previous wait stays in range for any number
+      // of attempts.
+      Backoff = std::min(Attempt == 2
+                             ? std::max<long long>(Config.BackoffBaseMs, 0)
+                             : 2 * Backoff,
+                         BackoffMaxMs);
       long long Spread;
       {
         std::lock_guard<std::mutex> Lock(JitterMutex);
@@ -368,10 +304,6 @@ Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
                      : 0;
       }
       long long Wait = Backoff + Spread;
-      // A shed server's retry-after hint is a floor under the wait:
-      // reconnecting sooner than the server asked just feeds the overload.
-      if (OverloadHint && static_cast<long long>(*OverloadHint) > Wait)
-        Wait = *OverloadHint;
       if (DeadlineMs && Wait >= remainingMs())
         return deadlineError("waiting out the retry backoff");
       std::this_thread::sleep_for(std::chrono::milliseconds(Wait));
@@ -396,20 +328,12 @@ Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
     LastAttempts.store(Attempt);
     Expected<Bytes> Response = attemptOnce(Wire, ConnectMs, IoMs);
     if (Response) {
-      if (std::optional<uint32_t> After = overloadedRetryAfterMs(*Response)) {
-        // Backpressure is not payload. By default it surfaces as a typed
-        // error immediately (no intra-transport retry burn) so a failover
-        // layer can move to another endpoint; with RetryOverloaded the
-        // client stays on this endpoint and honors the hint above.
-        Error Shed = makeTransportError(TransportErrc::Overloaded,
-                                        "server shed load; retry-after-ms=" +
-                                            std::to_string(*After));
-        if (!Config.RetryOverloaded)
-          return Shed;
-        OverloadHint = After;
-        Last = std::move(Shed);
-        continue;
-      }
+      // Backpressure is not payload: surface it typed and at once (no
+      // retry burn on this endpoint) so a failover layer can move on.
+      if (std::optional<uint32_t> After = overloadedRetryAfterMs(*Response))
+        return makeTransportError(TransportErrc::Overloaded,
+                                  "server shed load; retry-after-ms=" +
+                                      std::to_string(*After));
       return Response;
     }
     Error E = Response.takeError();
@@ -417,7 +341,6 @@ Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
     if (!isRetryableTransportErrc(Errc))
       return E;
     Last = std::move(E);
-    OverloadHint.reset();
   }
   if (Attempts == 1)
     return Last; // No retry budget: surface the underlying kind directly.

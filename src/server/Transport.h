@@ -9,17 +9,14 @@
 /// authentication server. `LoopbackTransport` calls the server in-process
 /// (used by tests and benchmarks -- the paper likewise ran client and
 /// server on one machine over sockets with "very little network latency");
-/// `TcpServer`/`TcpClientTransport` run the same byte protocol over real
-/// TCP sockets with length-prefixed frames.
+/// `TcpClientTransport` speaks the same byte protocol over real TCP
+/// sockets with length-prefixed frames to a `ReactorServer` running
+/// `AuthServer::handle` (server/Reactor.h).
 ///
 /// The paper observes that a missing server is a denial of service on the
-/// protected application, so this layer is built for failure: the server
-/// multiplexes many connections on an event-driven reactor (epoll with a
-/// poll fallback; handler CPU work on a fixed worker pool) with
-/// per-operation read/write deadlines and drains gracefully on `stop()`;
-/// the client bounds connect/IO time and retries with exponential backoff
-/// and deterministic jitter, surfacing a typed `TransportErrc` when the
-/// budget is exhausted.
+/// protected application, so the client is built for failure: it bounds
+/// connect/IO time and retries with exponential backoff and deterministic
+/// jitter, surfacing a typed `TransportErrc` when the budget is exhausted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +25,8 @@
 
 #include "crypto/Drbg.h"
 #include "server/AuthServer.h"
-#include "server/Reactor.h"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -85,75 +80,6 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// TcpServer
-//===----------------------------------------------------------------------===//
-
-/// Tuning knobs for the concurrent TCP server.
-struct TcpServerConfig {
-  /// Worker threads running AuthServer::handle concurrently (IO itself is
-  /// multiplexed on one reactor thread regardless).
-  size_t WorkerThreads = 8;
-  /// Deadline for reading one full frame off a connection.
-  int ReadTimeoutMs = 5000;
-  /// Deadline for writing one full frame to a connection.
-  int WriteTimeoutMs = 5000;
-  /// listen(2) backlog.
-  int Backlog = 64;
-  /// Largest frame the server will accept.
-  uint32_t MaxFrameBytes = 64u << 20;
-  /// Connection cap: accepted connections beyond this many concurrently
-  /// served are shed with an OVERLOADED frame instead of being queued
-  /// behind a saturated worker pool. 0 = no cap.
-  size_t MaxConnections = 0;
-  /// Retry-after hint carried by shed responses.
-  uint32_t OverloadRetryAfterMs = 100;
-  /// Selects the poll(2) event-loop backend instead of epoll (tests).
-  bool ForcePollBackend = false;
-};
-
-/// Usage counters for the TCP server (tests and benches read these).
-struct TcpServerStats {
-  size_t ConnectionsAccepted = 0;
-  size_t ConnectionsShed = 0;
-  size_t FramesServed = 0;
-  size_t ReadTimeouts = 0;
-  size_t WriteTimeouts = 0;
-};
-
-/// Serves an AuthServer over TCP: a thin binding of `ReactorServer` (the
-/// event-driven transport core, see server/Reactor.h) to
-/// `AuthServer::handle`. Frames are u32-length-prefixed; binds to
-/// 127.0.0.1 on an ephemeral port. `stop()` drains gracefully: the
-/// listener closes immediately, accepted-but-unserved connections get an
-/// OVERLOADED frame, in-flight exchanges finish (bounded by their IO
-/// deadlines), then the threads join.
-class TcpServer {
-public:
-  /// Starts the reactor and worker pool on background threads.
-  static Expected<std::unique_ptr<TcpServer>>
-  start(AuthServer &Server, const TcpServerConfig &Config = TcpServerConfig());
-  ~TcpServer();
-
-  /// The bound port.
-  uint16_t port() const { return Impl->port(); }
-
-  /// Stops accepting, drains in-flight connections, joins all threads.
-  /// Idempotent.
-  void stop();
-
-  /// Snapshot of the usage counters.
-  TcpServerStats stats() const;
-
-  /// The underlying reactor (tests read its extended stats).
-  const ReactorServer &reactor() const { return *Impl; }
-
-private:
-  TcpServer() = default;
-
-  std::unique_ptr<ReactorServer> Impl;
-};
-
-//===----------------------------------------------------------------------===//
 // TcpClientTransport
 //===----------------------------------------------------------------------===//
 
@@ -166,19 +92,10 @@ struct TcpClientConfig {
   int IoTimeoutMs = 5000;
   /// Total connection attempts per roundTrip (1 = no retry).
   int MaxAttempts = 3;
-  /// First retry delay; doubles each retry.
+  /// First retry delay; doubles each retry up to a 1 s ceiling.
   int BackoffBaseMs = 25;
-  /// Backoff ceiling.
-  int BackoffMaxMs = 1000;
   /// Seed for the jitter source (deterministic for reproducible tests).
   uint64_t JitterSeed = 1;
-  /// When true, an OVERLOADED answer is retried on this endpoint with the
-  /// server's retry-after hint as a floor under the backoff wait, instead
-  /// of surfacing immediately as a typed error. Leave false in front of a
-  /// failover chain (the Provisioner moves endpoints faster than the hint
-  /// elapses); set true for single-endpoint clients that have nowhere
-  /// else to go.
-  bool RetryOverloaded = false;
 };
 
 /// TCP client side: connects per roundTrip (the restorer makes only a
@@ -186,6 +103,10 @@ struct TcpClientConfig {
 /// and the session survives across connections because the server keys
 /// the session id, not the socket; that same property makes retrying a
 /// failed exchange on a fresh connection safe).
+///
+/// Backpressure is not retried here: an OVERLOADED answer surfaces at once
+/// as `TransportErrc::Overloaded` with the server's hint in the message
+/// (`retryAfterHintOf`), so the failover layer decides where to go next.
 ///
 /// Deadline-aware: a request wrapped in an envelope frame (see
 /// server/Protocol.h) carries its remaining budget through the retry

@@ -90,6 +90,16 @@ TEST(ElfBuilderTest, RejectsOverlappingSections) {
   EXPECT_NE(File.errorMessage().find("overlaps"), std::string::npos);
 }
 
+TEST(ElfBuilderTest, RejectsSectionEndingPast2To64) {
+  // The end must not wrap to a small value that sizes the file buffer.
+  ElfBuilder B;
+  B.addProgbits(".text", 0xfffffffffffff000ULL, Bytes(0x2000, 0),
+                SHF_ALLOC | SHF_EXECINSTR);
+  Expected<Bytes> File = B.build();
+  ASSERT_FALSE(static_cast<bool>(File));
+  EXPECT_NE(File.errorMessage().find("ends past 2^64"), std::string::npos);
+}
+
 TEST(ElfImageTest, RejectsGarbage) {
   EXPECT_FALSE(static_cast<bool>(ElfImage::parse(Bytes(10, 0xab))));
   Bytes NotElf(200, 0);

@@ -19,6 +19,7 @@
 #include "elide/TrustedLib.h"
 #include "elf/ElfImage.h"
 #include "server/AuthServer.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "vm/Disassembler.h"
@@ -537,7 +538,10 @@ TEST(ElideSgx2Test, Sgx2RevokesWritabilityAfterRestore) {
 TEST(ElideTcpTest, RestoreOverRealSockets) {
   auto S = makeScenario(SecretStorage::Remote);
   ASSERT_NE(S, nullptr);
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(*S->Server);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&S](BytesView Request, const FrameContext &Ctx) {
+        return S->Server->handle(Request, Ctx);
+      });
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
   TcpClientTransport Client("127.0.0.1", (*Tcp)->port());

@@ -386,7 +386,6 @@ TEST(LifecycleFaultTest, QuarantineBackoffGatesRecovery) {
   ASSERT_NE(R, nullptr);
   SupervisorConfig Config = fastRecovery();
   Config.RecoveryBackoffBaseMs = 100;
-  Config.RecoveryBackoffMaxMs = 1000;
   Config.JitterSeed = Seed.derived(1);
   EnclaveSupervisor Sup(R->factory(), *R->Host, Config);
   long long Now = 10'000;

@@ -259,7 +259,6 @@ TEST(OverloadClientDeadlineTest, DeadlineStopsRetriesWithTypedError) {
   Config.MaxAttempts = 50; // Far more than the deadline can fund.
   Config.ConnectTimeoutMs = 1000;
   Config.BackoffBaseMs = 30;
-  Config.BackoffMaxMs = 100;
   TcpClientTransport Client("127.0.0.1", Port.port(), Config);
 
   Bytes Request = envelopeFrame(120, Criticality::Default, garbageHello());
@@ -285,7 +284,6 @@ TEST(OverloadClientDeadlineTest, BareFramesKeepRetryingToExhaustion) {
   Config.MaxAttempts = 3;
   Config.ConnectTimeoutMs = 500;
   Config.BackoffBaseMs = 5;
-  Config.BackoffMaxMs = 10;
   TcpClientTransport Client("127.0.0.1", Port.port(), Config);
 
   // No envelope, no deadline: the legacy path burns its whole budget.
@@ -341,19 +339,17 @@ TEST(OverloadBudgetTest, SuccessesEarnTokensBackUpToTheCap) {
   StubTransport Healthy(
       [](BytesView) -> Expected<Bytes> { return Bytes{FrameRecord, 0x01}; });
 
-  ProvisionerConfig Config = budgetConfig(/*Initial=*/0.5);
-  Config.RetryBudgetMax = 0.8;
-  Provisioner Prov(Config);
+  Provisioner Prov(budgetConfig(/*Initial=*/9.5));
   Prov.addEndpoint("a", &Healthy);
 
   for (int I = 0; I < 2; ++I)
     ASSERT_TRUE(static_cast<bool>(Prov.roundTrip(garbageRecord())));
-  EXPECT_NEAR(Prov.retryBudget(), 0.7, 1e-9);
+  EXPECT_NEAR(Prov.retryBudget(), 9.7, 1e-9);
 
-  // The cap bounds the post-recovery burst.
+  // The cap of 10 tokens bounds the post-recovery burst.
   for (int I = 0; I < 10; ++I)
     ASSERT_TRUE(static_cast<bool>(Prov.roundTrip(garbageRecord())));
-  EXPECT_NEAR(Prov.retryBudget(), 0.8, 1e-9);
+  EXPECT_NEAR(Prov.retryBudget(), 10.0, 1e-9);
 
   // A disabled budget reports the sentinel, not a balance.
   Provisioner Unbounded((ProvisionerConfig()));

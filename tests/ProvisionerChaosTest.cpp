@@ -18,6 +18,7 @@
 #include "elide/Pipeline.h"
 #include "server/AuthServer.h"
 #include "server/FaultInjection.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/AtomicFile.h"
@@ -572,11 +573,15 @@ TEST(OverloadChaosTest, TcpServerShedsBeyondConnectionCap) {
   Config.ExpectedMrEnclave.fill(0x42);
   AuthServer Server(std::move(Config));
 
-  TcpServerConfig Net;
+  ReactorConfig Net;
   Net.MaxConnections = 1;
   Net.OverloadRetryAfterMs = 99;
   Net.WorkerThreads = 2;
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(Server, Net);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&Server](BytesView Request, const FrameContext &Ctx) {
+        return Server.handle(Request, Ctx);
+      },
+      Net);
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
   // Connection A occupies the single slot (connected, never sends).

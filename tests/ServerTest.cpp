@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/AuthServer.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/Attestation.h"
 #include "tests/framework/TestNet.h"
@@ -336,7 +337,10 @@ TEST(AuthServerTest, LocalModeRefusesDataRequests) {
 TEST(TcpTransportTest, FramesSurviveTheWire) {
   ServerFixture F;
   AuthServer Server = F.makeServer();
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(Server);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&Server](BytesView Request, const FrameContext &Ctx) {
+        return Server.handle(Request, Ctx);
+      });
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
   TcpClientTransport Client("127.0.0.1", (*Tcp)->port());
@@ -367,6 +371,16 @@ TEST(TcpTransportTest, ConnectToClosedPortFailsTyped) {
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(transportErrcOf(R), TransportErrc::RetriesExhausted);
   EXPECT_EQ(Client.lastAttempts(), 2);
+
+  // More attempts than a 64-bit backoff has bits: the doubling must stay
+  // capped, with no shift past the type's width.
+  Config.MaxAttempts = 70;
+  Config.BackoffBaseMs = 0;
+  TcpClientTransport Patient("127.0.0.1", Closed.port(), Config);
+  R = Patient.roundTrip(Bytes{1});
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_EQ(transportErrcOf(R), TransportErrc::RetriesExhausted);
+  EXPECT_EQ(Patient.lastAttempts(), 70);
 }
 
 TEST(TcpTransportTest, SingleAttemptSurfacesUnderlyingError) {

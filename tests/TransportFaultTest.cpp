@@ -18,6 +18,7 @@
 #include "elide/Pipeline.h"
 #include "server/AuthServer.h"
 #include "server/FaultInjection.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 
@@ -337,7 +338,10 @@ TEST(FrameSplitTest, ServerReassemblesByteByByteFrames) {
   // served: the server's reads ride out arbitrarily short chunks.
   auto S = makeScenario();
   ASSERT_NE(S, nullptr);
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(*S->Server);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&S](BytesView Request, const FrameContext &Ctx) {
+        return S->Server->handle(Request, Ctx);
+      });
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -434,83 +438,9 @@ TEST(FrameSplitTest, ClientReassemblesByteByByteResponses) {
   EXPECT_EQ(*R, Response);
 }
 
-TEST(FrameSplitTest, RetryOverloadedHonorsServerRetryAfterHint) {
-  // A server that sheds the first exchange with an explicit retry-after
-  // hint, then serves the second: with RetryOverloaded set, the client
-  // must wait at least the hinted interval (the hint floors the backoff)
-  // and then succeed on the retry instead of surfacing the typed error.
-  int Listen = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(Listen, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = 0;
-  ASSERT_EQ(::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
-            0);
-  ASSERT_EQ(::listen(Listen, 2), 0);
-  socklen_t AddrLen = sizeof(Addr);
-  ASSERT_EQ(::getsockname(Listen, reinterpret_cast<sockaddr *>(&Addr),
-                          &AddrLen),
-            0);
-  uint16_t Port = ntohs(Addr.sin_port);
-
-  constexpr uint32_t HintMs = 150;
-  const Bytes Success = {FrameError, 'o', 'k'};
-  std::thread Server([Listen, &Success] {
-    auto ServeOne = [](int Client, const Bytes &Frame) {
-      // Drain the length-prefixed request, then answer with one frame.
-      uint8_t LenBytes[4];
-      size_t Got = 0;
-      while (Got < 4) {
-        ssize_t N = ::recv(Client, LenBytes + Got, 4 - Got, 0);
-        ASSERT_GT(N, 0);
-        Got += static_cast<size_t>(N);
-      }
-      uint32_t ReqLen = readLE32(LenBytes);
-      Bytes Request(ReqLen);
-      Got = 0;
-      while (Got < ReqLen) {
-        ssize_t N = ::recv(Client, Request.data() + Got, ReqLen - Got, 0);
-        ASSERT_GT(N, 0);
-        Got += static_cast<size_t>(N);
-      }
-      uint8_t RespLen[4];
-      writeLE32(RespLen, static_cast<uint32_t>(Frame.size()));
-      (void)::send(Client, RespLen, 4, MSG_NOSIGNAL);
-      (void)::send(Client, Frame.data(), Frame.size(), MSG_NOSIGNAL);
-      ::close(Client);
-    };
-    int First = ::accept(Listen, nullptr, nullptr);
-    ASSERT_GE(First, 0);
-    ServeOne(First, overloadedFrame(HintMs));
-    int Second = ::accept(Listen, nullptr, nullptr);
-    ASSERT_GE(Second, 0);
-    ServeOne(Second, Success);
-  });
-
-  TcpClientConfig Config;
-  Config.MaxAttempts = 3;
-  Config.BackoffBaseMs = 1; // The hint, not the backoff, sets the wait.
-  Config.BackoffMaxMs = 5;
-  Config.RetryOverloaded = true;
-  TcpClientTransport Client("127.0.0.1", Port, Config);
-
-  auto T0 = std::chrono::steady_clock::now();
-  Expected<Bytes> R = Client.roundTrip(Bytes{0x42});
-  double ElapsedMs = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - T0)
-                         .count();
-  Server.join();
-  ::close(Listen);
-  ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
-  EXPECT_EQ(*R, Success);
-  EXPECT_EQ(Client.lastAttempts(), 2);
-  EXPECT_GE(ElapsedMs, static_cast<double>(HintMs));
-}
-
 TEST(FrameSplitTest, OverloadedSurfacesTypedWithoutRetryOptIn) {
-  // Without the opt-in, the same shed answer surfaces immediately as the
-  // typed Overloaded error carrying the hint -- the failover chain, not
+  // A shed answer surfaces immediately as the typed Overloaded error
+  // carrying the hint, even with retries left -- the failover chain, not
   // this endpoint, decides what to do with the wait.
   int Listen = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(Listen, 0);

@@ -17,6 +17,7 @@
 #include "elide/HostRuntime.h"
 #include "elide/Pipeline.h"
 #include "server/AuthServer.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "tests/framework/ChaosSeed.h"
@@ -158,10 +159,13 @@ TEST(TransportStressTest, SixteenMachinesRestoreConcurrentlyOverTcp) {
 
   auto F = Fleet::make();
   ASSERT_NE(F, nullptr);
-  TcpServerConfig ServerConfig;
+  ReactorConfig ServerConfig;
   ServerConfig.WorkerThreads = 8;
-  Expected<std::unique_ptr<TcpServer>> Tcp =
-      TcpServer::start(*F->Server, ServerConfig);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&F](BytesView Request, const FrameContext &Ctx) {
+        return F->Server->handle(Request, Ctx);
+      },
+      ServerConfig);
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
   std::atomic<size_t> Failures{0};
@@ -192,7 +196,7 @@ TEST(TransportStressTest, SixteenMachinesRestoreConcurrentlyOverTcp) {
   EXPECT_EQ(Stats.DataRequests, Total);
   EXPECT_EQ(Stats.LiveSessions, Total);
 
-  TcpServerStats Net = (*Tcp)->stats();
+  ReactorStats Net = (*Tcp)->stats();
   EXPECT_GE(Net.ConnectionsAccepted, Total);
   EXPECT_GE(Net.FramesServed, Total * 3);
   EXPECT_EQ(Net.ReadTimeouts, 0u);
@@ -228,7 +232,10 @@ TEST(TransportStressTest, StopDrainsWithClientsMidSession) {
   // nothing hangs, and the server refuses new work afterwards.
   auto F = Fleet::make();
   ASSERT_NE(F, nullptr);
-  Expected<std::unique_ptr<TcpServer>> Tcp = TcpServer::start(*F->Server);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&F](BytesView Request, const FrameContext &Ctx) {
+        return F->Server->handle(Request, Ctx);
+      });
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
   uint16_t Port = (*Tcp)->port();
 

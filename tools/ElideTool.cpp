@@ -29,6 +29,7 @@
 #include "elide/TrustedLib.h"
 #include "elf/ElfImage.h"
 #include "server/AuthServer.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/File.h"
@@ -529,7 +530,7 @@ int cmdServe(std::vector<std::string> Args) {
   uint64_t AuthoritySeed =
       std::stoull(flagValue(Args, "--authority-seed", "1"));
   std::string PortFile = flagValue(Args, "--port-file", "");
-  TcpServerConfig NetConfig;
+  ReactorConfig NetConfig;
   NetConfig.WorkerThreads = static_cast<size_t>(std::stoull(flagValue(
       Args, "--threads", std::to_string(NetConfig.WorkerThreads))));
   NetConfig.ReadTimeoutMs = std::stoi(flagValue(
@@ -578,8 +579,11 @@ int cmdServe(std::vector<std::string> Args) {
   Config.MaxRequestsPerSession = SessionBudget;
   AuthServer Server(std::move(Config));
 
-  Expected<std::unique_ptr<TcpServer>> Tcp =
-      TcpServer::start(Server, NetConfig);
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&Server](BytesView Request, const FrameContext &Ctx) {
+        return Server.handle(Request, Ctx);
+      },
+      NetConfig);
   if (!Tcp)
     return fail(Tcp.errorMessage());
   std::printf("sgxelide server listening on 127.0.0.1:%u (mode: %s, "
