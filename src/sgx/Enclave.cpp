@@ -10,6 +10,7 @@
 #include "crypto/CryptoEqual.h"
 #include "vm/ExecBackend.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -39,29 +40,38 @@ static std::string permString(uint8_t Perms) {
 // Memory bus with per-page permission checks
 //===----------------------------------------------------------------------===//
 
+// The inline path and the EPC share one page table and one set of bits.
+static_assert(EpcPageSize == MemoryBus::DirectPageSize);
+static_assert(PermRead == DirectPage::Read && PermWrite == DirectPage::Write &&
+              PermExec == DirectPage::Exec);
+
 Error Enclave::EnclaveBus::access(uint64_t Addr, uint64_t Size,
                                   uint8_t NeedPerm, uint8_t *ReadInto,
                                   const uint8_t *WriteFrom) {
-  uint64_t Done = 0;
-  while (Done < Size) {
+  // Check every page the access spans before copying a byte, so an access
+  // that faults part-way (a store straddling into a read-only or unmapped
+  // page) has no effect at all.
+  for (uint64_t Done = 0; Done < Size;) {
     uint64_t Cur = Addr + Done;
-    uint64_t PageBase = Cur & ~(EpcPageSize - 1);
-    auto It = Owner.Pages.find(PageBase);
-    if (It == Owner.Pages.end())
+    if (!Owner.resident(Cur))
       return makeError("page fault at 0x" + toHexString(Cur) +
                        " (no EPC page mapped)");
-    if ((It->second.Perms & NeedPerm) != NeedPerm)
+    uint8_t Perms = Owner.Pages[Cur / EpcPageSize].Perms;
+    if ((Perms & NeedPerm) != NeedPerm)
       return makeError("permission fault at 0x" + toHexString(Cur) +
                        ": need " + permString(NeedPerm) + ", page is " +
-                       permString(It->second.Perms));
-    uint64_t InPage = Cur - PageBase;
-    uint64_t Chunk = EpcPageSize - InPage;
-    if (Chunk > Size - Done)
-      Chunk = Size - Done;
+                       permString(Perms));
+    Done += EpcPageSize - Cur % EpcPageSize;
+  }
+  for (uint64_t Done = 0; Done < Size;) {
+    uint64_t Cur = Addr + Done;
+    uint64_t InPage = Cur % EpcPageSize;
+    uint64_t Chunk = std::min(EpcPageSize - InPage, Size - Done);
+    uint8_t *Host = Owner.Pages[Cur / EpcPageSize].Data + InPage;
     if (ReadInto)
-      std::memcpy(ReadInto + Done, It->second.Data.data() + InPage, Chunk);
+      std::memcpy(ReadInto + Done, Host, Chunk);
     if (WriteFrom)
-      std::memcpy(It->second.Data.data() + InPage, WriteFrom + Done, Chunk);
+      std::memcpy(Host, WriteFrom + Done, Chunk);
     Done += Chunk;
   }
   return Error::success();
@@ -308,10 +318,9 @@ Expected<Unsealed> Enclave::unseal(BytesView Blob) const {
 //===----------------------------------------------------------------------===//
 
 Expected<uint8_t> Enclave::pagePermissions(uint64_t VAddr) const {
-  auto It = Pages.find(VAddr & ~(EpcPageSize - 1));
-  if (It == Pages.end())
+  if (!resident(VAddr))
     return makeError("no EPC page at 0x" + toHexString(VAddr));
-  return It->second.Perms;
+  return Pages[VAddr / EpcPageSize].Perms;
 }
 
 Error Enclave::extendPagePermissions(uint64_t VAddr, uint8_t AddPerms) {
@@ -319,10 +328,9 @@ Error Enclave::extendPagePermissions(uint64_t VAddr, uint8_t AddPerms) {
     return makeError("EMODPE requires SGX2; this enclave runs under SGX1 "
                      "semantics where page permissions are fixed at load "
                      "time");
-  auto It = Pages.find(VAddr & ~(EpcPageSize - 1));
-  if (It == Pages.end())
+  if (!resident(VAddr))
     return makeError("no EPC page at 0x" + toHexString(VAddr));
-  It->second.Perms |= AddPerms;
+  Pages[VAddr / EpcPageSize].Perms |= AddPerms;
   Memory.noteGlobalChange(); // Fetchability changed out of band.
   return Error::success();
 }
@@ -332,10 +340,9 @@ Error Enclave::restrictPagePermissions(uint64_t VAddr, uint8_t DropPerms) {
     return makeError("EMODPR requires SGX2; this enclave runs under SGX1 "
                      "semantics where page permissions are fixed at load "
                      "time");
-  auto It = Pages.find(VAddr & ~(EpcPageSize - 1));
-  if (It == Pages.end())
+  if (!resident(VAddr))
     return makeError("no EPC page at 0x" + toHexString(VAddr));
-  It->second.Perms &= static_cast<uint8_t>(~DropPerms);
+  Pages[VAddr / EpcPageSize].Perms &= static_cast<uint8_t>(~DropPerms);
   Memory.noteGlobalChange(); // Fetchability changed out of band.
   return Error::success();
 }
@@ -347,25 +354,28 @@ Error Enclave::restrictPagePermissions(uint64_t VAddr, uint8_t DropPerms) {
 
 Expected<Bytes> Enclave::evictPage(uint64_t VAddr) {
   uint64_t Base = VAddr & ~(EpcPageSize - 1);
-  auto It = Pages.find(Base);
-  if (It == Pages.end())
+  if (!resident(Base))
     return makeError("no EPC page at 0x" + toHexString(VAddr));
+  uint64_t Index = Base / EpcPageSize;
+  uint8_t Perms = Pages[Index].Perms;
 
   Aes128Key Key = Device.deriveKey128(
       "MEE", BytesView(MrEnclave.data(), MrEnclave.size()));
   Bytes Iv = Device.rng().bytes(12);
   Bytes Aad;
   appendLE64(Aad, Base);
-  Aad.push_back(It->second.Perms);
+  Aad.push_back(Perms);
   ELIDE_TRY(GcmSealed Sealed, aesGcmEncrypt(BytesView(Key.data(), Key.size()),
-                                            Iv, It->second.Data, Aad));
+                                            Iv, PageBytes[Index], Aad));
   Bytes Blob;
   appendLE64(Blob, Base);
-  Blob.push_back(It->second.Perms);
+  Blob.push_back(Perms);
   appendBytes(Blob, Iv);
   appendBytes(Blob, BytesView(Sealed.Tag.data(), Sealed.Tag.size()));
   appendBytes(Blob, Sealed.Ciphertext);
-  Pages.erase(It);
+  // Clear the entry the bus's inline path reads, then free the bytes.
+  Pages[Index] = DirectPage();
+  PageBytes[Index] = Bytes();
   Memory.noteGlobalChange(); // The page vanished; cached decodes are stale.
   return Blob;
 }
@@ -378,7 +388,11 @@ Error Enclave::reloadPage(uint64_t VAddr, BytesView Blob) {
   if (BlobAddr != Base)
     return makeError("evicted page blob is for address 0x" +
                      toHexString(BlobAddr) + ", not 0x" + toHexString(Base));
-  if (Pages.count(Base))
+  uint64_t Index = Base / EpcPageSize;
+  if (Index >= Pages.size())
+    return makeError("page 0x" + toHexString(Base) +
+                     " is outside the enclave's EPC range");
+  if (Pages[Index].Data)
     return makeError("page 0x" + toHexString(Base) + " is already resident");
 
   uint8_t Perms = Blob[8];
@@ -397,10 +411,8 @@ Error Enclave::reloadPage(uint64_t VAddr, BytesView Blob) {
   if (!Plain)
     return makeError("ELDU integrity check failed: " + Plain.errorMessage());
 
-  Page P;
-  P.Perms = Perms;
-  P.Data = Plain.takeValue();
-  Pages.emplace(Base, std::move(P));
+  PageBytes[Index] = Plain.takeValue();
+  Pages[Index] = {PageBytes[Index].data(), Perms};
   Memory.noteGlobalChange(); // Reloaded content replaces whatever was cached.
   return Error::success();
 }

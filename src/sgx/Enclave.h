@@ -10,6 +10,13 @@
 /// services (randomness, reports, sealing), and the EPC eviction path
 /// (the MEE stand-in).
 ///
+/// The EPC is a flat page table indexed by VAddr / EpcPageSize, sized once
+/// at EINIT from the highest page EADD accepted and never resized. Its
+/// entries are the ones the bus registers for `MemoryBus::direct`, so the
+/// threaded engine's inline loads and stores and the virtual bus read one
+/// copy of each page's permissions; eviction clears an entry before it
+/// frees the page's bytes.
+///
 /// Security properties enforced here, which the SgxElide integration tests
 /// rely on:
 ///  - Enclave memory is only reachable through ecalls and the explicit
@@ -17,6 +24,8 @@
 ///  - Page permissions are fixed at EADD (SGX1). A store to a non-writable
 ///    page faults -- so the Runtime Restorer works only because the
 ///    Sanitizer set PF_W on the text segment before signing.
+///  - An access that faults on any page it spans changes nothing: every
+///    page is checked before the first byte is copied.
 ///  - `emodpe`/`restrictPermissions` exist but fail unless the enclave was
 ///    signed with the SGX2 attribute (the paper's section 7 discussion).
 ///
@@ -195,11 +204,6 @@ private:
   friend class SgxDevice::Builder;
   Enclave(SgxDevice &Device) : Device(Device), Memory(*this) {}
 
-  struct Page {
-    uint8_t Perms = 0;
-    Bytes Data;
-  };
-
   /// The permission-enforcing memory bus handed to the VM.
   class EnclaveBus : public MemoryBus {
   public:
@@ -208,11 +212,22 @@ private:
     Error write(uint64_t Addr, BytesView Data) override;
     Error fetch(uint64_t Addr, uint8_t Out[8]) override;
 
+    /// Registers the owner's page table for `direct` (once, at EINIT).
+    void attachPages() {
+      setDirectPages(Owner.Pages.data(), Owner.Pages.size());
+    }
+
   private:
     Error access(uint64_t Addr, uint64_t Size, uint8_t NeedPerm,
                  uint8_t *ReadInto, const uint8_t *WriteFrom);
     Enclave &Owner;
   };
+
+  /// True when the page holding \p VAddr was added and is not evicted.
+  bool resident(uint64_t VAddr) const {
+    uint64_t Index = VAddr / EpcPageSize;
+    return Index < Pages.size() && Pages[Index].Data;
+  }
 
   Aes128Key sealKeyFor(SealPolicy Policy, BytesView KeyId) const;
   Expected<uint64_t> dispatchTcall(uint32_t Index, Vm &V);
@@ -220,7 +235,10 @@ private:
 
   SgxDevice &Device;
   EnclaveBus Memory;
-  std::map<uint64_t, Page> Pages;
+  /// The EPC page table: host bytes (in PageBytes) and permissions per
+  /// page. A page that is not resident has a null pointer and no perms.
+  std::vector<DirectPage> Pages;
+  std::vector<Bytes> PageBytes; ///< Owns each resident page's bytes.
   Measurement MrEnclave{};
   Measurement MrSigner{};
   uint64_t Attributes = 0;

@@ -44,11 +44,6 @@ ComputedLayout computeLayout(const ElfImage &Image,
 /// Walks every page of the enclave in deterministic EADD order: image
 /// segments by address, then heap, then stack. The vendor's signing tool
 /// and the loader must agree exactly, or EINIT rejects the launch.
-/// Hard ceiling on enclave address space: rejects absurd segment sizes
-/// (e.g. from corrupted program headers) before the page loop allocates
-/// the machine away.
-constexpr uint64_t MaxEnclaveSize = 1ull << 30;
-
 Error forEachEnclavePage(
     const ElfImage &Image, const EnclaveLayout &Layout,
     const std::function<Error(uint64_t, uint8_t, BytesView)> &Visit) {

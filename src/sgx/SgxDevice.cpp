@@ -45,7 +45,9 @@ Error SgxDevice::Builder::addPage(uint64_t VAddr, uint8_t Perms,
   if (VAddr % EpcPageSize != 0)
     return makeError("EADD address 0x" + std::to_string(VAddr) +
                      " is not page aligned");
-  if (VAddr + EpcPageSize > Size)
+  // No wrapping sums: a page near 2^64 must not pass, and no page at or
+  // above the cap may size the EPC table past MaxEnclaveSize.
+  if (VAddr >= Size || Size - VAddr < EpcPageSize || VAddr >= MaxEnclaveSize)
     return makeError("EADD address 0x" + std::to_string(VAddr) +
                      " outside the enclave range");
   if (Content.size() > EpcPageSize)
@@ -107,12 +109,17 @@ SgxDevice::Builder::init(const SigStruct &Sig) {
   E->MrEnclave = Measured;
   E->MrSigner = Sig.mrSigner();
   E->Attributes = Sig.Attributes;
+  // The EPC table reaches the highest page added and never grows after
+  // this: the bus's inline path holds a pointer to it.
+  uint64_t Slots = Pages.empty() ? 0 : Pages.rbegin()->first / EpcPageSize + 1;
+  E->Pages.resize(Slots);
+  E->PageBytes.resize(Slots);
   for (auto &[VAddr, PermsAndData] : Pages) {
-    Enclave::Page P;
-    P.Perms = PermsAndData.first;
-    P.Data = std::move(PermsAndData.second);
-    E->Pages.emplace(VAddr, std::move(P));
+    uint64_t Index = VAddr / EpcPageSize;
+    E->PageBytes[Index] = std::move(PermsAndData.second);
+    E->Pages[Index] = {E->PageBytes[Index].data(), PermsAndData.first};
   }
+  E->Memory.attachPages();
   Pages.clear();
   return E;
 }

@@ -67,6 +67,11 @@ enum PagePerm : uint8_t {
 };
 
 constexpr uint64_t EpcPageSize = 0x1000;
+/// Hard ceiling on enclave address space. EADD rejects a page at or above
+/// it, which bounds the flat EPC table at 262,144 entries, and the loader
+/// rejects absurd segment sizes (e.g. from corrupted program headers)
+/// before its page loop allocates the machine away.
+constexpr uint64_t MaxEnclaveSize = 1ull << 30;
 /// EEXTEND measures 256 bytes at a time: 16 invocations per page, as the
 /// paper's background section describes.
 constexpr uint64_t EextendChunk = 256;

@@ -28,6 +28,11 @@
 ///    the bus write journal (MemoryBus::forEachWriteSince) is the source
 ///    of truth for writes the backend did not itself perform (restore
 ///    writes into `.text` from tcall handlers being the paper's case).
+///  - A load or store may go through `MemoryBus::direct`. Every access it
+///    refuses takes the virtual `read`/`write`, which owns faults and
+///    their messages; a store through a `direct` pointer is journaled
+///    with `noteWrite`, as `write` would journal it. The reference engine
+///    never takes the inline path.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,6 +12,14 @@ using namespace elide;
 
 MemoryBus::~MemoryBus() = default;
 
+FlatMemory::FlatMemory(size_t Size)
+    : Ram(Size, 0), Pages(Size / DirectPageSize) {
+  for (size_t I = 0; I < Pages.size(); ++I)
+    Pages[I] = {Ram.data() + I * DirectPageSize,
+                DirectPage::Read | DirectPage::Write | DirectPage::Exec};
+  setDirectPages(Pages.data(), Pages.size());
+}
+
 Error FlatMemory::checkRange(uint64_t Addr, uint64_t Size) const {
   if (Addr + Size < Addr || Addr + Size > Ram.size())
     return makeError("memory access [0x" + std::to_string(Addr) + ", +" +

@@ -32,6 +32,12 @@
 /// executed again. A truncated journal or `noteGlobalChange` marks the
 /// whole window stale the same way.
 ///
+/// Loads and stores ask the bus's inline page table first
+/// (`MemoryBus::direct`): an access inside one page that grants the
+/// permission touches host memory with no virtual call. Everything else
+/// takes the virtual read/write, so faults, their messages and trap PCs
+/// are the reference engine's; a store journals itself either way.
+///
 /// Anything the window cannot represent (pc beyond the 4 MiB span cap,
 /// i.e. a wild jump) hands the rest of the run to the reference
 /// SwitchBackend, whose outcome is merged back budget-correctly.
@@ -39,6 +45,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "vm/ExecBackend.h"
+
+#include <cstring>
 
 using namespace elide;
 
@@ -118,6 +126,19 @@ constexpr uint64_t MaxWindowSlots = (4ull << 20) / SvmInstrSize;
 
 /// First allocation: covers typical enclave text plus room to grow.
 constexpr uint64_t MinWindowSlots = 1024;
+
+/// Little-endian load and store of \p Size bytes through a host pointer
+/// from `MemoryBus::direct`.
+template <unsigned Size> uint64_t loadHost(const uint8_t *P) {
+  uint8_t Buf[8] = {0};
+  std::memcpy(Buf, P, Size);
+  return readLE64(Buf);
+}
+template <unsigned Size> void storeHost(uint8_t *P, uint64_t V) {
+  uint8_t Buf[8];
+  writeLE64(Buf, V);
+  std::memcpy(P, Buf, Size);
+}
 
 } // namespace
 
@@ -668,15 +689,46 @@ Dispatch:
     VM_NEXT1;                                                                  \
   }
 
+// V = Size bytes at Addr. An in-page, readable access reads the bus's
+// page table inline; anything else takes the virtual read, which owns
+// every fault and its message, trapping at FaultPc with Retired retired.
+#define VM_READ(V, Addr, Size, FaultPc, Retired)                               \
+  do {                                                                         \
+    if (const uint8_t *P = Bus.direct(Addr, Size, DirectPage::Read)) {         \
+      (V) = loadHost<Size>(P);                                                 \
+    } else {                                                                   \
+      uint8_t Buf[8] = {0};                                                    \
+      if (Error E = Bus.read(Addr, MutableBytesView(Buf, Size)))               \
+        return Trap(TrapKind::MemoryFault, FaultPc, "load: " + E.message(),    \
+                    Retired);                                                  \
+      (V) = readLE64(Buf);                                                     \
+    }                                                                          \
+  } while (0)
+
+// Size bytes at Addr = V, the store's twin of VM_READ. The inline path
+// journals the write itself, as the virtual write does; either way the
+// decoded window then folds it in (it may have hit decoded code).
+#define VM_WRITE(V, Addr, Size, FaultPc, Retired)                              \
+  do {                                                                         \
+    if (uint8_t *P = Bus.direct(Addr, Size, DirectPage::Write)) {              \
+      storeHost<Size>(P, V);                                                   \
+      Bus.noteWrite(Addr, Size);                                               \
+    } else {                                                                   \
+      uint8_t Buf[8];                                                          \
+      writeLE64(Buf, V);                                                       \
+      if (Error E = Bus.write(Addr, BytesView(Buf, Size)))                     \
+        return Trap(TrapKind::MemoryFault, FaultPc, "store: " + E.message(),   \
+                    Retired);                                                  \
+    }                                                                          \
+    NoteSelfWrite(Addr, Size);                                                 \
+  } while (0)
+
 #define VM_LOAD(Name, Size, ExtendStmt)                                        \
   VM_CASE(Name) {                                                              \
-    uint8_t Buf[8] = {0};                                                      \
     uint64_t Addr = M.reg(D->Rs1) +                                            \
                     static_cast<uint64_t>(static_cast<int64_t>(D->Imm));       \
-    if (Error E = Bus.read(Addr, MutableBytesView(Buf, Size)))                 \
-      return Trap(TrapKind::MemoryFault, Pc, "load: " + E.message(),           \
-                  Count + 1);                                                  \
-    uint64_t V = readLE64(Buf);                                                \
+    uint64_t V = 0;                                                            \
+    VM_READ(V, Addr, Size, Pc, Count + 1);                                     \
     ExtendStmt;                                                                \
     M.setReg(D->Rd, V);                                                        \
     VM_NEXT1;                                                                  \
@@ -684,14 +736,9 @@ Dispatch:
 
 #define VM_STORE(Name, Size)                                                   \
   VM_CASE(Name) {                                                              \
-    uint8_t Buf[8];                                                            \
-    writeLE64(Buf, M.reg(D->Rs2));                                             \
     uint64_t Addr = M.reg(D->Rs1) +                                            \
                     static_cast<uint64_t>(static_cast<int64_t>(D->Imm));       \
-    if (Error E = Bus.write(Addr, BytesView(Buf, Size)))                       \
-      return Trap(TrapKind::MemoryFault, Pc, "store: " + E.message(),          \
-                  Count + 1);                                                  \
-    NoteSelfWrite(Addr, Size); /* May have hit decoded code. */                \
+    VM_WRITE(M.reg(D->Rs2), Addr, Size, Pc, Count + 1);                        \
     VM_NEXT1;                                                                  \
   }
 
@@ -728,11 +775,8 @@ Dispatch:
                         static_cast<uint64_t>(static_cast<int64_t>(D->Imm)));  \
     uint64_t Addr = M.reg(D->Rd) +                                             \
                     static_cast<uint64_t>(static_cast<int64_t>(D->Target));    \
-    uint8_t Buf[8] = {0};                                                      \
-    if (Error E = Bus.read(Addr, MutableBytesView(Buf, Size)))                 \
-      return Trap(TrapKind::MemoryFault, Pc + SvmInstrSize,                    \
-                  "load: " + E.message(), Count + 2);                          \
-    uint64_t V = readLE64(Buf);                                                \
+    uint64_t V = 0;                                                            \
+    VM_READ(V, Addr, Size, Pc + SvmInstrSize, Count + 2);                      \
     ExtendStmt;                                                                \
     M.setReg(D->Rs2, V); /* Rs2 carries the load's destination. */             \
     VM_NEXT2;                                                                  \
@@ -746,12 +790,8 @@ Dispatch:
                         static_cast<uint64_t>(static_cast<int64_t>(D->Imm)));  \
     uint64_t Addr = M.reg(D->Rd) +                                             \
                     static_cast<uint64_t>(static_cast<int64_t>(D->Target));    \
-    uint8_t Buf[8];                                                            \
-    writeLE64(Buf, M.reg(D->Rs2)); /* Rs2 carries the store's source. */       \
-    if (Error E = Bus.write(Addr, BytesView(Buf, Size)))                       \
-      return Trap(TrapKind::MemoryFault, Pc + SvmInstrSize,                    \
-                  "store: " + E.message(), Count + 2);                         \
-    NoteSelfWrite(Addr, Size);                                                 \
+    /* Rs2 carries the store's source. */                                      \
+    VM_WRITE(M.reg(D->Rs2), Addr, Size, Pc + SvmInstrSize, Count + 2);         \
     VM_NEXT2;                                                                  \
   }
 

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "tests/framework/VmDiff.h"
 #include "vm/Disassembler.h"
 #include "vm/ExecBackend.h"
 #include "vm/Interpreter.h"
@@ -260,6 +261,43 @@ TEST_P(VmExecTest, OutOfBoundsLoadFaults) {
   EXPECT_EQ(R.Kind, TrapKind::MemoryFault);
   EXPECT_EQ(R.Pc, 8u);
   EXPECT_EQ(R.InstructionsRetired, 2u); // faulting loads still retire
+}
+
+TEST_P(VmExecTest, PartialTailPageFaultsLikeTheReference) {
+  // 6 KiB of RAM: one whole page, which the bus serves inline, then half
+  // a page, which stays on the virtual path. A store across the end must
+  // fault on every backend exactly as on the reference, writing nothing.
+  Bytes Code;
+  emitInstruction(Code, {Opcode::LdI, 2, 0, 0, 0x800});
+  emitInstruction(Code, {Opcode::LdI, 3, 0, 0, -0x1234});
+  emitInstruction(Code, {Opcode::StD, 0, 2, 3, 0});
+  emitInstruction(Code, {Opcode::LdD, 4, 2, 0, 0}); // whole page
+  emitInstruction(Code, {Opcode::LdI, 2, 0, 0, 0x17fc});
+  emitInstruction(Code, {Opcode::StW, 0, 2, 3, 0});
+  emitInstruction(Code, {Opcode::LdWS, 5, 2, 0, 0}); // tail, in bounds
+  emitInstruction(Code, {Opcode::StD, 0, 2, 4, 0});  // across the end
+  emitInstruction(Code, {Opcode::Halt});
+  vmdiff::ProgramOptions Opts;
+  Opts.MemorySize = 0x1800;
+  vmdiff::Outcome Got = vmdiff::runProgram(Code, GetParam(), Opts);
+  vmdiff::Outcome Ref = vmdiff::runProgram(Code, VmBackendKind::Switch, Opts);
+
+  EXPECT_EQ(Got.Exec.Kind, TrapKind::MemoryFault);
+  EXPECT_EQ(Got.Exec.Pc, 56u);
+  EXPECT_EQ(Got.Exec.InstructionsRetired, 8u);
+  EXPECT_EQ(Got.Exec.Message,
+            "store: memory access [0x6140, +8) out of bounds");
+  EXPECT_EQ(Got.Regs[4], static_cast<uint64_t>(int64_t{-0x1234}));
+  EXPECT_EQ(Got.Regs[5], static_cast<uint64_t>(int64_t{-0x1234}));
+  EXPECT_EQ(readLE32(Got.Memory.data() + 0x17fc),
+            static_cast<uint32_t>(-0x1234));
+
+  EXPECT_EQ(Got.Exec.Kind, Ref.Exec.Kind);
+  EXPECT_EQ(Got.Exec.Pc, Ref.Exec.Pc);
+  EXPECT_EQ(Got.Exec.InstructionsRetired, Ref.Exec.InstructionsRetired);
+  EXPECT_EQ(Got.Exec.Message, Ref.Exec.Message);
+  EXPECT_EQ(Got.Regs, Ref.Regs);
+  EXPECT_EQ(Got.Memory, Ref.Memory);
 }
 
 //===----------------------------------------------------------------------===//

@@ -262,7 +262,7 @@ Outcome elide::vmdiff::runProgram(BytesView Code, VmBackendKind Kind,
   Out.Exec = Machine.run(0, Opts.Budget);
   for (unsigned R = 0; R < SvmRegCount; ++R)
     Out.Regs[R] = Machine.reg(R);
-  Out.Memory = Memory.raw();
+  Out.Memory = toBytes(Memory.raw());
   return Out;
 }
 
