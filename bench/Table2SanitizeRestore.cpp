@@ -7,9 +7,9 @@
 /// \file
 /// Regenerates the paper's Table 2: sanitization time and end-to-end
 /// restoration time (attestation handshake + metadata + data transfer +
-/// self-modifying copy), for remote-data and local-data modes, reported as
-/// the average and standard deviation of 10 runs -- the paper's exact
-/// methodology.
+/// the self-modifying write over the text), for remote-data and local-data
+/// modes, reported as the average and standard deviation of 10 runs -- the
+/// paper's exact methodology.
 ///
 //===----------------------------------------------------------------------===//
 

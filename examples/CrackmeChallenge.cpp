@@ -24,6 +24,7 @@
 #include "sgx/EnclaveLoader.h"
 #include "vm/Disassembler.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -49,17 +50,33 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // Static analysis of the shipped image.
+  // Static analysis of the shipped image. The sanitizer scrubs the
+  // elided symbols too, so the shipped file does not even say where
+  // crk_transform was; take its range from the plain build's symtab (the
+  // developer's view) and show what the shipped bytes there decode to.
   {
-    Expected<ElfImage> Image = ElfImage::parse(Artifacts->SanitizedElf);
-    const ElfSymbol *Check = Image->symbolByName("crk_transform");
-    const ElfSection *Text = Image->sectionByName(".text");
-    Bytes Code = Image->sectionContents(*Text);
+    Expected<ElfImage> Plain = ElfImage::parse(Artifacts->PlainElf);
+    Expected<ElfImage> Shipped = ElfImage::parse(Artifacts->SanitizedElf);
+    if (!Plain || !Shipped) {
+      std::fprintf(stderr, "cannot parse the built images\n");
+      return 1;
+    }
+    const ElfSymbol *Check = Plain->symbolByName("crk_transform");
+    const ElfSection *Text = Shipped->sectionByName(".text");
+    if (!Check || !Text || Check->Value < Text->Addr ||
+        Check->Value - Text->Addr + Check->Size > Text->Size) {
+      std::fprintf(stderr, "crk_transform is not in the shipped .text\n");
+      return 1;
+    }
+    Bytes Code = Shipped->sectionContents(*Text);
     BytesView Body(Code.data() + (Check->Value - Text->Addr), Check->Size);
-    std::printf("[attacker] crk_transform is %zu bytes; decodable "
+    std::printf("[attacker] the shipped symtab %s crk_transform\n",
+                Shipped->symbolByName("crk_transform") ? "names"
+                                                       : "does not name");
+    size_t Zeros = static_cast<size_t>(std::count(Body.begin(), Body.end(), 0));
+    std::printf("[attacker] %zu of its %zu bytes are zero; decodable "
                 "instruction slots: %zu\n",
-                static_cast<size_t>(Check->Size),
-                countValidInstructionSlots(Body));
+                Zeros, Body.size(), countValidInstructionSlots(Body));
     std::printf("[attacker] nothing to reverse engineer in the shipped "
                 "file.\n\n");
   }

@@ -6,8 +6,6 @@
 
 #include "analysis/Audit.h"
 
-#include <cstdio>
-
 namespace elide {
 namespace analysis {
 
@@ -89,12 +87,6 @@ std::vector<std::string> parseEcallManifest(const ElfImage &Image,
   if (!Line.empty())
     Names.push_back(Line);
   return Names;
-}
-
-std::string hexString(uint64_t V) {
-  char B[32];
-  std::snprintf(B, sizeof(B), "%llx", (unsigned long long)V);
-  return B;
 }
 
 std::vector<std::string> checkFamilyNames(unsigned Checks) {

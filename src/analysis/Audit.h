@@ -138,10 +138,6 @@ std::vector<ElidedRegion> effectiveElidedRegions(const AuditInput &Input,
 std::vector<std::string> parseEcallManifest(const ElfImage &Image,
                                             const std::string &SectionName);
 
-/// Lower-case hex without a prefix ("1f8"): how the checkers' messages
-/// spell addresses and offsets.
-std::string hexString(uint64_t V);
-
 // Individual checkers (each appends to \p Engine). Exposed so unit tests
 // can exercise one checker in isolation.
 void checkResidualSecrets(const AuditInput &Input, const AuditOptions &Options,

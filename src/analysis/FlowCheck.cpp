@@ -37,6 +37,7 @@
 #include "analysis/Audit.h"
 #include "analysis/Cfg.h"
 #include "analysis/Taint.h"
+#include "support/Hex.h"
 #include "vm/Disassembler.h"
 
 namespace elide {
@@ -88,8 +89,8 @@ void checkSecretFlow(const AuditInput &Input, const AuditOptions &Options,
   auto originSuffix = [&](const TaintSink &S) -> std::string {
     if (!S.OriginPc)
       return "";
-    return " (secret loaded at .text+0x" +
-           hexString(S.OriginPc - Text->Addr) + ")";
+    return " (secret loaded at .text+" +
+           hexAddress(S.OriginPc - Text->Addr) + ")";
   };
 
   bool WantCt = (Options.Checks & CheckConstantTime) != 0;

@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Audit.h"
+#include "support/Hex.h"
 
 namespace elide {
 namespace analysis {
@@ -64,8 +65,8 @@ void checkLayout(const AuditInput &Input, const AuditOptions &Options,
   // --- AUD305: EPC pages are 4 KiB; the loader rejects misalignment. ---
   if (TextSeg->VAddr % AuditPageSize != 0)
     Engine.report(AudSegmentMisaligned, Severity::Error,
-                  "text segment virtual address 0x" +
-                      hexString(TextSeg->VAddr) + " is not EPC-page aligned",
+                  "text segment virtual address " +
+                      hexAddress(TextSeg->VAddr) + " is not EPC-page aligned",
                   Input.TextSection, 0, 0);
 
   bool TextWritable = (TextSeg->Flags & PF_W) != 0;
@@ -92,8 +93,8 @@ void checkLayout(const AuditInput &Input, const AuditOptions &Options,
                     "elided region" +
                         (R.Name.empty() ? std::string()
                                         : " of '" + R.Name + "'") +
-                        " escapes the text section (section size 0x" +
-                        hexString(Text->Size) + ")",
+                        " escapes the text section (section size " +
+                        hexAddress(Text->Size) + ")",
                     Input.TextSection, R.Offset, R.Length, R.Name);
   }
 

@@ -20,9 +20,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Audit.h"
+#include "support/Hex.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace elide {
 namespace analysis {
@@ -52,13 +52,8 @@ void checkMetadataLeaks(const AuditInput &Input, const AuditOptions &,
         continue; // Orphan bridges are AUD204's finding.
       Engine.report(AudElidedSymbolNamed, Severity::Error,
                     "symbol table names elided function '" + Sym.Name +
-                        "' and pins its boundary [0x" +
-                        [&] {
-                          std::ostringstream O;
-                          O << std::hex << Sym.Value << ", 0x"
-                            << Sym.Value + Sym.Size << ")";
-                          return O.str();
-                        }(),
+                        "' and pins its boundary [" + hexAddress(Sym.Value) +
+                        ", " + hexAddress(Sym.Value + Sym.Size) + ")",
                     ".symtab", Index * SymEntSize, SymEntSize, Sym.Name);
     }
   }

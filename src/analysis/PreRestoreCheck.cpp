@@ -48,6 +48,7 @@
 
 #include "analysis/Audit.h"
 #include "analysis/Cfg.h"
+#include "support/Hex.h"
 #include "vm/Disassembler.h"
 
 #include <deque>
@@ -213,8 +214,8 @@ void checkPreRestore(const AuditInput &Input, const AuditOptions &Options,
     auto escape = [&](std::optional<uint64_t> From, uint64_t To) {
       if (Reach && firstOnEdge(From, To) && Escapes.admit())
         Engine.report(AudFlowEscapesText, Severity::Error,
-                      describe(From) + " leaves the text section (target 0x" +
-                          hexString(To) + ")",
+                      describe(From) + " leaves the text section (target " +
+                          hexAddress(To) + ")",
                       Sec, From ? *From - Base : 0, SvmInstrSize, R.Name);
     };
     const ElidedRegion *Redacted = nullptr;
@@ -304,7 +305,7 @@ void checkPreRestore(const AuditInput &Input, const AuditOptions &Options,
               "' admits a pre-restore path into redacted text" +
               (Redacted->Name.empty() ? std::string()
                                       : " of '" + Redacted->Name + "'") +
-              " (first at .text+0x" + hexString(RedactedPc - Base) +
+              " (first at .text+" + hexAddress(RedactedPc - Base) +
               ") without passing through '" + Input.RestoreSymbol + "'",
           Sec, R.Addr - Base, SvmInstrSize, R.Name);
   }

@@ -30,6 +30,9 @@
 #include "vm/Isa.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <map>
 
 namespace elide {
 namespace analysis {
@@ -120,46 +123,61 @@ void checkResidualSecrets(const AuditInput &Input, const AuditOptions &,
   }
 
   // --- AUD102: secret plaintext windows outside .text. ---
-  if (!Input.SecretPlaintext.empty() && Input.SecretPlaintext.size() >= 16) {
+  if (Input.SecretPlaintext.size() >= 16) {
     constexpr size_t Window = 16;
     constexpr size_t Stride = 8;
+    using Key = std::array<uint8_t, Window>;
+    auto keyAt = [](const uint8_t *P) {
+      Key K;
+      std::memcpy(K.data(), P, Window);
+      return K;
+    };
     uint64_t TextBegin = Text ? Text->Offset : 0;
     uint64_t TextEnd = Text ? Text->Offset + Text->Size : 0;
+
+    // Index the needles once, not the file: each interesting window's
+    // bytes map to the first window that holds them. A later window with
+    // the same bytes can add no finding (each of its hits was already
+    // reported or collapsed), so it needs no entry.
+    std::map<Key, size_t> FirstWindow;
+    for (size_t W = 0; W + Window <= Input.SecretPlaintext.size();
+         W += Stride)
+      if (windowIsInteresting(Input.SecretPlaintext.data() + W, Window))
+        FirstWindow.emplace(keyAt(Input.SecretPlaintext.data() + W), W);
+
+    // One pass over the file. Each offset matches at most one entry, so
+    // the hits are bounded by the file, and in practice by leaked copies.
+    std::vector<std::pair<size_t, uint64_t>> Hits; // (window, offset)
+    for (uint64_t Off = 0; Off + Window <= File.size(); ++Off) {
+      if (Text && Off >= TextBegin && Off + Window <= TextEnd)
+        continue; // Whitelisted code legitimately survives in .text.
+      auto It = FirstWindow.find(keyAt(File.data() + Off));
+      if (It != FirstWindow.end())
+        Hits.push_back({It->second, Off});
+    }
+
+    // Replay the hits in window order, then file order.
+    std::sort(Hits.begin(), Hits.end());
     size_t Reported = 0;
     std::set<uint64_t> SeenOffsets; // Overlapping windows hit once.
-    for (size_t W = 0; W + Window <= Input.SecretPlaintext.size();
-         W += Stride) {
-      const uint8_t *Needle = Input.SecretPlaintext.data() + W;
-      if (!windowIsInteresting(Needle, Window))
+    for (auto [W, Off] : Hits) {
+      // Collapse hits within one window-width of an already-reported
+      // offset (overlapping strides of the same leaked copy).
+      auto Near = SeenOffsets.lower_bound(Off >= Window ? Off - Window : 0);
+      if (Near != SeenOffsets.end() && *Near <= Off + Window)
         continue;
-      const uint8_t *Cursor = File.data();
-      const uint8_t *End = File.data() + File.size();
-      while (true) {
-        const uint8_t *Hit = std::search(Cursor, End, Needle, Needle + Window);
-        if (Hit == End)
-          break;
-        uint64_t Off = (uint64_t)(Hit - File.data());
-        Cursor = Hit + 1;
-        if (Text && Off >= TextBegin && Off + Window <= TextEnd)
-          continue; // Whitelisted code legitimately survives in .text.
-        // Collapse hits within one window-width of an already-reported
-        // offset (overlapping strides of the same leaked copy).
-        auto Near = SeenOffsets.lower_bound(Off >= Window ? Off - Window : 0);
-        if (Near != SeenOffsets.end() && *Near <= Off + Window)
-          continue;
-        SeenOffsets.insert(Off);
-        if (++Reported <= MaxPerCode) {
-          std::string Sec = sectionAtFileOffset(Image, Off);
-          uint64_t SecOff = Off;
-          if (const ElfSection *S =
-                  Sec.empty() ? nullptr : Image.sectionByName(Sec))
-            SecOff = Off - S->Offset;
-          Engine.report(AudSecretBytesLeaked, Severity::Error,
-                        "16-byte window of the secret plaintext (offset " +
-                            std::to_string(W) +
-                            ") recurs in the shipped image outside .text",
-                        Sec, SecOff, Window);
-        }
+      SeenOffsets.insert(Off);
+      if (++Reported <= MaxPerCode) {
+        std::string Sec = sectionAtFileOffset(Image, Off);
+        uint64_t SecOff = Off;
+        if (const ElfSection *S =
+                Sec.empty() ? nullptr : Image.sectionByName(Sec))
+          SecOff = Off - S->Offset;
+        Engine.report(AudSecretBytesLeaked, Severity::Error,
+                      "16-byte window of the secret plaintext (offset " +
+                          std::to_string(W) +
+                          ") recurs in the shipped image outside .text",
+                      Sec, SecOff, Window);
       }
     }
     if (Reported > MaxPerCode)

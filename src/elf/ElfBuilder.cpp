@@ -6,6 +6,8 @@
 
 #include "elf/ElfBuilder.h"
 
+#include "support/Hex.h"
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -106,8 +108,8 @@ Expected<Bytes> ElfBuilder::build() const {
   for (size_t I : AllocIdx) {
     const PendingSection &Sec = PendingSections[I];
     if (Sec.Addr % 0x1000 != 0)
-      return makeError("section " + Sec.Name + " address 0x" +
-                       std::to_string(Sec.Addr) + " is not page aligned");
+      return makeError("section " + Sec.Name + " address " +
+                       hexAddress(Sec.Addr) + " is not page aligned");
     if (Sec.Addr < PrevEnd)
       return makeError("section " + Sec.Name +
                        " overlaps headers or a previous section");

@@ -54,8 +54,6 @@ enum TcallIndex : uint32_t {
   TcallFetchMeta = 5,
   TcallFetchData = 6,
   TcallDecryptLocal = 7,
-  TcallRestoreAnchor = 8,
-  TcallMetaOffset = 9,
   TcallMetaEncrypted = 10,
   TcallMetaDataLen = 11,
   TcallSealStore = 12,

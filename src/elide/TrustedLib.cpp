@@ -77,6 +77,31 @@ Expected<Bytes> secureRequest(Enclave &E, ElideState &S, uint8_t Code) {
   return openRecord(S.Keys->ServerToClient, ResponseFrame);
 }
 
+/// The text base: `&elide_restore` minus the restorer's offset into the
+/// text, the paper's position-independent address computation (the SDK
+/// runtime knows where elide_restore was loaded).
+Expected<uint64_t> textBase(Enclave &E, const SecretMeta &Meta) {
+  ELIDE_TRY(uint64_t Anchor, E.symbolAddress("elide_restore"));
+  return Anchor - Meta.RestoreOffset;
+}
+
+/// Writes an authenticated secret body over the sanitized text (Figure 2
+/// step 6). The metadata promised exactly DataLength bytes; a body of any
+/// other length (truncated or padded, yet authenticated) is refused before
+/// a byte lands, so a failed attempt leaves the text all zero. Returns the
+/// byte count written, 0 when refused.
+Expected<uint64_t> writeText(Enclave &E, const SecretMeta &Meta,
+                             BytesView Body) {
+  if (Body.empty() || Body.size() != Meta.DataLength)
+    return 0;
+  ELIDE_TRY(uint64_t Base, textBase(E, Meta));
+  // Through the permission-checked bus: the stores need the sanitizer's
+  // PF_W, and the write journal invalidates any decoded copy of the text.
+  if (Error Err = E.writeMemory(Base, Body))
+    return Err;
+  return Body.size();
+}
+
 } // namespace
 
 void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
@@ -140,52 +165,32 @@ void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
   });
 
   E.registerTcall(TcallFetchData,
-                  [S](Vm &V, Enclave &En) -> Expected<uint64_t> {
-    uint64_t Ptr = V.reg(1), Cap = V.reg(2);
+                  [S](Vm &, Enclave &En) -> Expected<uint64_t> {
     if (!S->Meta)
       return 0;
     Expected<Bytes> Payload = secureRequest(En, *S, RequestData);
-    if (!Payload || Payload->empty() || Payload->size() > Cap)
+    if (!Payload)
       return 0;
-    // The metadata promised exactly DataLength bytes; anything else (a
-    // truncated or padded body that somehow authenticated) must never
-    // reach the text section, or a failed exchange could leave the
-    // enclave half-restored.
-    if (Payload->size() != S->Meta->DataLength)
-      return 0;
-    if (Error Err = En.writeMemory(Ptr, *Payload))
-      return Err;
-    return Payload->size();
+    return writeText(En, *S->Meta, *Payload);
   });
 
   E.registerTcall(TcallDecryptLocal,
-                  [S](Vm &V, Enclave &En) -> Expected<uint64_t> {
-    uint64_t CtPtr = V.reg(1), CtLen = V.reg(2);
-    uint64_t OutPtr = V.reg(3), OutCap = V.reg(4);
+                  [S](Vm &, Enclave &En) -> Expected<uint64_t> {
     if (!S->Meta || !S->Meta->Encrypted)
       return 0;
-    ELIDE_TRY(Bytes Ciphertext, En.readMemory(CtPtr, CtLen));
+    // The shipped ciphertext comes straight from the host, as an SDK
+    // protected-file read does; no enclave buffer stages it.
+    ELIDE_TRY(Bytes Ciphertext, En.hostOcall(OcallReadFile, {}));
+    if (Ciphertext.empty())
+      return 0; // The data file is missing.
     Expected<Bytes> Plain = aesGcmDecrypt(
         BytesView(S->Meta->Key.data(), 16), BytesView(S->Meta->Iv.data(), 12),
         Ciphertext, BytesView(), S->Meta->Mac);
-    if (!Plain || Plain->empty() || Plain->size() > OutCap)
+    if (!Plain)
       return 0; // Tampered data file or corrupted download.
-    if (Error Err = En.writeMemory(OutPtr, *Plain))
-      return Err;
-    return Plain->size();
+    return writeText(En, *S->Meta, *Plain);
   });
 
-  E.registerTcall(TcallRestoreAnchor,
-                  [](Vm &, Enclave &En) -> Expected<uint64_t> {
-    // The runtime's equivalent of the paper's position-independent
-    // address computation: the SDK runtime knows where elide_restore was
-    // loaded.
-    return En.symbolAddress("elide_restore");
-  });
-
-  E.registerTcall(TcallMetaOffset, [S](Vm &, Enclave &) -> Expected<uint64_t> {
-    return S->Meta ? S->Meta->RestoreOffset : 0;
-  });
   E.registerTcall(TcallMetaEncrypted,
                   [S](Vm &, Enclave &) -> Expected<uint64_t> {
     return S->Meta && S->Meta->Encrypted ? 1 : 0;
@@ -198,11 +203,12 @@ void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
   // --- Sealing fast path (paper step 7) ---------------------------------
 
   E.registerTcall(TcallSealStore,
-                  [S](Vm &V, Enclave &En) -> Expected<uint64_t> {
-    uint64_t Ptr = V.reg(1), Len = V.reg(2);
+                  [S](Vm &, Enclave &En) -> Expected<uint64_t> {
     if (!S->Meta)
       return 31;
-    ELIDE_TRY(Bytes Data, En.readMemory(Ptr, Len));
+    // Seal what the text now holds: the restored bytes themselves.
+    ELIDE_TRY(uint64_t Base, textBase(En, *S->Meta));
+    ELIDE_TRY(Bytes Data, En.readMemory(Base, S->Meta->DataLength));
     Bytes Plain = S->Meta->serialize();
     appendBytes(Plain, Data);
     Expected<Bytes> Blob =
@@ -215,8 +221,7 @@ void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
   });
 
   E.registerTcall(TcallUnsealLoad,
-                  [S](Vm &V, Enclave &En) -> Expected<uint64_t> {
-    uint64_t Ptr = V.reg(1), Cap = V.reg(2);
+                  [S](Vm &, Enclave &En) -> Expected<uint64_t> {
     Expected<Bytes> Blob = En.hostOcall(OcallReadSealed, {});
     if (!Blob || Blob->empty())
       return 0; // First launch: nothing sealed yet.
@@ -233,12 +238,10 @@ void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
       return 0;
     BytesView Data(Opened->Plaintext.data() + SecretMeta::SerializedSize,
                    Opened->Plaintext.size() - SecretMeta::SerializedSize);
-    if (Data.empty() || Data.size() > Cap)
-      return 0;
-    if (Error Err = En.writeMemory(Ptr, Data))
-      return Err;
-    S->Meta = *Meta;
-    return Data.size();
+    ELIDE_TRY(uint64_t N, writeText(En, *Meta, Data));
+    if (N != 0)
+      S->Meta = *Meta; // Adopted only once the text holds its data.
+    return N;
   });
 
   // --- SGX2 ablation -----------------------------------------------------
@@ -247,12 +250,11 @@ void ElideTrustedLib::install(Enclave &E, const sgx::TargetInfo &QeTarget) {
                   [S](Vm &, Enclave &En) -> Expected<uint64_t> {
     if (!S->Meta)
       return 41;
-    Expected<uint64_t> Anchor = En.symbolAddress("elide_restore");
-    if (!Anchor)
+    Expected<uint64_t> Start = textBase(En, *S->Meta);
+    if (!Start)
       return 42;
-    uint64_t Start = *Anchor - S->Meta->RestoreOffset;
-    uint64_t End = Start + S->Meta->DataLength;
-    for (uint64_t Page = Start & ~(sgx::EpcPageSize - 1); Page < End;
+    uint64_t End = *Start + S->Meta->DataLength;
+    for (uint64_t Page = *Start & ~(sgx::EpcPageSize - 1); Page < End;
          Page += sgx::EpcPageSize)
       if (En.restrictPagePermissions(Page, sgx::PermWrite))
         return 43; // SGX1: permissions are immutable.
@@ -275,8 +277,6 @@ elc::CallRegistry ElideTrustedLib::callRegistry() {
       {"elide_fetch_meta", TcallFetchMeta},
       {"elide_fetch_data", TcallFetchData},
       {"elide_decrypt_local", TcallDecryptLocal},
-      {"elide_restore_anchor", TcallRestoreAnchor},
-      {"elide_meta_offset", TcallMetaOffset},
       {"elide_meta_encrypted", TcallMetaEncrypted},
       {"elide_meta_datalen", TcallMetaDataLen},
       {"elide_seal_store", TcallSealStore},
@@ -297,39 +297,33 @@ elc::CallRegistry ElideTrustedLib::callRegistry() {
 //===----------------------------------------------------------------------===//
 
 /// elide_rt.elc: the Runtime Restorer. `elide_restore` is the framework's
-/// single public ecall (paper section 3.4); the copy loop at the bottom is
-/// the self-modification step (Figure 2 step 6) running as enclave code.
+/// single public ecall (paper section 3.4). It orders the secret sources;
+/// the tcall that produces the bytes verifies them and writes them over
+/// the text (Figure 2 step 6).
 static const char *ElideRtSource = R"elc(
 // SgxElide runtime restorer (framework code; whitelisted via the dummy
 // enclave, never sanitized).
 
 extern tcall fn elide_channel_init() -> u64;
 extern tcall fn elide_fetch_meta() -> u64;
-extern tcall fn elide_fetch_data(out: *u8, cap: u64) -> u64;
-extern tcall fn elide_decrypt_local(ct: *u8, ctlen: u64, out: *u8, cap: u64) -> u64;
-extern tcall fn elide_restore_anchor() -> u64;
-extern tcall fn elide_meta_offset() -> u64;
+extern tcall fn elide_fetch_data() -> u64;
+extern tcall fn elide_decrypt_local() -> u64;
 extern tcall fn elide_meta_encrypted() -> u64;
 extern tcall fn elide_meta_datalen() -> u64;
-extern tcall fn elide_seal_store(data: *u8, len: u64) -> u64;
-extern tcall fn elide_unseal_load(out: *u8, cap: u64) -> u64;
-extern ocall fn elide_read_file(req: *u8, reqlen: u64, resp: *u8, cap: u64) -> u64;
+extern tcall fn elide_seal_store() -> u64;
+extern tcall fn elide_unseal_load() -> u64;
 
-// Restore staging buffer (zero-initialized .bss; measured like all pages).
-var elide_buf: u8[131072];
-
-fn elide_buf_cap() -> u64 {
-  return 131072;
-}
-
-// Obtains the secret bytes into elide_buf: sealed fast path first, then
-// the attested server exchange. Returns the byte count, 0 on failure;
-// *errc carries the failing step's status so the application can tell a
-// dead server from a rejected attestation (and retry accordingly).
+// Restores the secret bytes into the text section: sealed fast path
+// first, then the attested server exchange. Each source's tcall writes
+// only a body that authenticated (unseal, GCM tag or record open) and is
+// exactly as long as the metadata promised, so a failed source leaves
+// the text untouched. Returns the byte count, 0 on failure; *errc
+// carries the failing step's status so the application can tell a dead
+// server from a rejected attestation (and retry accordingly).
 fn elide_obtain_secrets(fresh: *u64, errc: *u64) -> u64 {
   *fresh = 0;
   *errc = 0;
-  var n: u64 = elide_unseal_load(&elide_buf[0], elide_buf_cap());
+  var n: u64 = elide_unseal_load();
   if (n != 0) {
     return n;
   }
@@ -347,16 +341,12 @@ fn elide_obtain_secrets(fresh: *u64, errc: *u64) -> u64 {
   if (elide_meta_encrypted() != 0) {
     // Local-data mode: the ciphertext ships with the app; only the key
     // came from the server (in the metadata).
-    var clen: u64 = elide_read_file(&elide_buf[0], 0, &elide_buf[0], elide_buf_cap());
-    if (clen == 0) {
-      return 0;
-    }
-    return elide_decrypt_local(&elide_buf[0], clen, &elide_buf[0], elide_buf_cap());
+    return elide_decrypt_local();
   }
   // Remote-data mode: the server sends the plaintext over the channel. A
   // failed or short exchange is typed (23) so the host can tell this
   // transient from "there are no secrets anywhere" and retry.
-  var dn: u64 = elide_fetch_data(&elide_buf[0], elide_buf_cap());
+  var dn: u64 = elide_fetch_data();
   if (dn == 0) {
     *errc = 23;
   }
@@ -366,8 +356,7 @@ fn elide_obtain_secrets(fresh: *u64, errc: *u64) -> u64 {
 // The one ecall SgxElide adds to an application (paper section 3.4).
 // Returns 0 on success; nonzero codes let the application handle network
 // or server failures its own way. A failed attempt never touches the text
-// section, so the enclave stays sanitized-but-retryable: the copy loop
-// below only runs once the buffer holds every byte the metadata promised.
+// section, so the enclave stays sanitized-but-retryable.
 export fn elide_restore(inp: *u8, inlen: u64, outp: *u8, outcap: u64) -> u64 {
   var fresh: u64 = 0;
   var errc: u64 = 0;
@@ -379,21 +368,12 @@ export fn elide_restore(inp: *u8, inlen: u64, outp: *u8, outcap: u64) -> u64 {
     return 1;
   }
   if (n != elide_meta_datalen()) {
-    // Partial secrets must not be copied over the text section.
+    // Unreachable while every source checks the length before it writes.
     return 2;
-  }
-  // Text base = &elide_restore - offset(elide_restore), as in the paper's
-  // position-independent scheme.
-  var start: u64 = elide_restore_anchor() - elide_meta_offset();
-  var p: *u8 = start as *u8;
-  // Step 6: copy the original bytes over the sanitized ones. These stores
-  // hit text pages -- only legal because the sanitizer set PF_W.
-  for (var i: u64 = 0; i < n; i = i + 1) {
-    p[i] = elide_buf[i];
   }
   if (fresh != 0) {
     // Step 7: seal so future launches skip the server entirely.
-    elide_seal_store(&elide_buf[0], n);
+    elide_seal_store();
   }
   return 0;
 }

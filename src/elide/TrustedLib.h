@@ -11,10 +11,11 @@
 /// paper's API exposes -- that are linked into every protected enclave and
 /// into the dummy enclave from which the whitelist derives.
 ///
-/// The restoration copy loop itself is Elc code executing inside the
-/// enclave: the self-modification (stores into the text section) really
-/// happens through the permission-checked EPC, not behind the model's
-/// back.
+/// The restorer itself is Elc code executing inside the enclave. The
+/// tcalls that produce the secret bytes (remote fetch, local decrypt,
+/// unseal) verify them and write them straight over the text section, as
+/// an SDK library call would: the self-modification really happens
+/// through the permission-checked EPC, not behind the model's back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,6 @@
 #include "sgx/Enclave.h"
 
 namespace elide {
-
-/// Maximum secret-data size the runtime's restore buffer can hold.
-constexpr uint64_t ElideRestoreBufferSize = 128 * 1024;
 
 /// The in-enclave SgxElide runtime.
 class ElideTrustedLib {

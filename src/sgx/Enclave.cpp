@@ -8,21 +8,14 @@
 
 #include "crypto/AesGcm.h"
 #include "crypto/CryptoEqual.h"
+#include "support/Hex.h"
 #include "vm/ExecBackend.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 using namespace elide;
 using namespace elide::sgx;
-
-/// Formats an address for diagnostics.
-static std::string toHexString(uint64_t V) {
-  char Buf[19];
-  std::snprintf(Buf, sizeof(Buf), "%llx", static_cast<unsigned long long>(V));
-  return Buf;
-}
 
 /// Formats a permission mask, e.g. "rwx" / "r-x".
 static std::string permString(uint8_t Perms) {
@@ -54,11 +47,11 @@ Error Enclave::EnclaveBus::access(uint64_t Addr, uint64_t Size,
   for (uint64_t Done = 0; Done < Size;) {
     uint64_t Cur = Addr + Done;
     if (!Owner.resident(Cur))
-      return makeError("page fault at 0x" + toHexString(Cur) +
+      return makeError("page fault at " + hexAddress(Cur) +
                        " (no EPC page mapped)");
     uint8_t Perms = Owner.Pages[Cur / EpcPageSize].Perms;
     if ((Perms & NeedPerm) != NeedPerm)
-      return makeError("permission fault at 0x" + toHexString(Cur) +
+      return makeError("permission fault at " + hexAddress(Cur) +
                        ": need " + permString(NeedPerm) + ", page is " +
                        permString(Perms));
     Done += EpcPageSize - Cur % EpcPageSize;
@@ -319,7 +312,7 @@ Expected<Unsealed> Enclave::unseal(BytesView Blob) const {
 
 Expected<uint8_t> Enclave::pagePermissions(uint64_t VAddr) const {
   if (!resident(VAddr))
-    return makeError("no EPC page at 0x" + toHexString(VAddr));
+    return makeError("no EPC page at " + hexAddress(VAddr));
   return Pages[VAddr / EpcPageSize].Perms;
 }
 
@@ -329,7 +322,7 @@ Error Enclave::extendPagePermissions(uint64_t VAddr, uint8_t AddPerms) {
                      "semantics where page permissions are fixed at load "
                      "time");
   if (!resident(VAddr))
-    return makeError("no EPC page at 0x" + toHexString(VAddr));
+    return makeError("no EPC page at " + hexAddress(VAddr));
   Pages[VAddr / EpcPageSize].Perms |= AddPerms;
   Memory.noteGlobalChange(); // Fetchability changed out of band.
   return Error::success();
@@ -341,7 +334,7 @@ Error Enclave::restrictPagePermissions(uint64_t VAddr, uint8_t DropPerms) {
                      "semantics where page permissions are fixed at load "
                      "time");
   if (!resident(VAddr))
-    return makeError("no EPC page at 0x" + toHexString(VAddr));
+    return makeError("no EPC page at " + hexAddress(VAddr));
   Pages[VAddr / EpcPageSize].Perms &= static_cast<uint8_t>(~DropPerms);
   Memory.noteGlobalChange(); // Fetchability changed out of band.
   return Error::success();
@@ -355,7 +348,7 @@ Error Enclave::restrictPagePermissions(uint64_t VAddr, uint8_t DropPerms) {
 Expected<Bytes> Enclave::evictPage(uint64_t VAddr) {
   uint64_t Base = VAddr & ~(EpcPageSize - 1);
   if (!resident(Base))
-    return makeError("no EPC page at 0x" + toHexString(VAddr));
+    return makeError("no EPC page at " + hexAddress(VAddr));
   uint64_t Index = Base / EpcPageSize;
   uint8_t Perms = Pages[Index].Perms;
 
@@ -386,14 +379,14 @@ Error Enclave::reloadPage(uint64_t VAddr, BytesView Blob) {
     return makeError("evicted page blob has wrong size");
   uint64_t BlobAddr = readLE64(Blob.data());
   if (BlobAddr != Base)
-    return makeError("evicted page blob is for address 0x" +
-                     toHexString(BlobAddr) + ", not 0x" + toHexString(Base));
+    return makeError("evicted page blob is for address " +
+                     hexAddress(BlobAddr) + ", not " + hexAddress(Base));
   uint64_t Index = Base / EpcPageSize;
   if (Index >= Pages.size())
-    return makeError("page 0x" + toHexString(Base) +
+    return makeError("page " + hexAddress(Base) +
                      " is outside the enclave's EPC range");
   if (Pages[Index].Data)
-    return makeError("page 0x" + toHexString(Base) + " is already resident");
+    return makeError("page " + hexAddress(Base) + " is already resident");
 
   uint8_t Perms = Blob[8];
   BytesView Iv = Blob.subspan(9, 12);

@@ -8,6 +8,7 @@
 
 #include "elc/Compiler.h"
 #include "elf/ElfImage.h"
+#include "support/Hex.h"
 
 #include <functional>
 
@@ -69,7 +70,7 @@ Error forEachEnclavePage(
   Bytes ZeroPage(EpcPageSize, 0);
   for (const ElfSegment *Seg : Segments) {
     if (Seg->VAddr % EpcPageSize != 0)
-      return makeError("segment at 0x" + std::to_string(Seg->VAddr) +
+      return makeError("segment at " + hexAddress(Seg->VAddr) +
                        " is not page aligned");
     uint8_t Perms = static_cast<uint8_t>(Seg->Flags & (PF_R | PF_W | PF_X));
     uint64_t MemEnd = Seg->VAddr + alignUp(Seg->MemSize, EpcPageSize);

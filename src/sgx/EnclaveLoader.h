@@ -27,10 +27,15 @@ namespace elide {
 namespace sgx {
 
 /// Memory layout parameters appended after the image's segments, plus
-/// runtime knobs the loader applies to the freshly built enclave.
+/// runtime knobs the loader applies to the freshly built enclave. Every
+/// heap and stack page is EADDed and measured, so the defaults are sized
+/// from what the shipped apps use, with headroom: the heap holds only the
+/// ecall bridge arena (the largest ecall moves 4,176 bytes), and the
+/// suites touch under 17 KiB of stack. An enclave that needs more sets
+/// `BuildOptions::Layout`, which the signer and the loader both read.
 struct EnclaveLayout {
-  uint64_t HeapSize = 256 * 1024;
-  uint64_t StackSize = 64 * 1024;
+  uint64_t HeapSize = 16 * 1024;
+  uint64_t StackSize = 32 * 1024;
   /// SVM execution engine for this enclave's ecalls (`--svm-backend`).
   /// Not measured: dispatch strategy is invisible to MRENCLAVE, like a
   /// CPU microarchitecture choice.

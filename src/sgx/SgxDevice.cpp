@@ -8,6 +8,7 @@
 
 #include "crypto/Hkdf.h"
 #include "sgx/Enclave.h"
+#include "support/Hex.h"
 
 #include <cstring>
 
@@ -43,18 +44,17 @@ Error SgxDevice::Builder::addPage(uint64_t VAddr, uint8_t Perms,
   if (Consumed)
     return makeError("builder already consumed by EINIT");
   if (VAddr % EpcPageSize != 0)
-    return makeError("EADD address 0x" + std::to_string(VAddr) +
+    return makeError("EADD address " + hexAddress(VAddr) +
                      " is not page aligned");
   // No wrapping sums: a page near 2^64 must not pass, and no page at or
   // above the cap may size the EPC table past MaxEnclaveSize.
   if (VAddr >= Size || Size - VAddr < EpcPageSize || VAddr >= MaxEnclaveSize)
-    return makeError("EADD address 0x" + std::to_string(VAddr) +
+    return makeError("EADD address " + hexAddress(VAddr) +
                      " outside the enclave range");
   if (Content.size() > EpcPageSize)
     return makeError("EADD content exceeds one page");
   if (Pages.count(VAddr))
-    return makeError("EADD: page 0x" + std::to_string(VAddr) +
-                     " already added");
+    return makeError("EADD: page " + hexAddress(VAddr) + " already added");
 
   Bytes PageData(EpcPageSize, 0);
   // Zero-fill pages (heap, stack, bss) arrive as empty views whose data

@@ -6,6 +6,8 @@
 
 #include "support/Hex.h"
 
+#include <cstdio>
+
 using namespace elide;
 
 static const char HexDigits[] = "0123456789abcdef";
@@ -18,6 +20,12 @@ std::string elide::toHex(BytesView Data) {
     Out.push_back(HexDigits[B & 0xf]);
   }
   return Out;
+}
+
+std::string elide::hexAddress(uint64_t V) {
+  char Buf[19]; // "0x", 16 digits, NUL.
+  std::snprintf(Buf, sizeof(Buf), "0x%llx", static_cast<unsigned long long>(V));
+  return Buf;
 }
 
 /// Returns the value of one hex digit, or -1 if \p C is not a hex digit.

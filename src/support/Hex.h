@@ -24,6 +24,10 @@ std::string toHex(BytesView Data);
 /// non-hex characters.
 Expected<Bytes> fromHex(const std::string &Hex);
 
+/// Formats an address or offset for diagnostics: "0x" and lowercase hex
+/// digits, e.g. "0x17fc".
+std::string hexAddress(uint64_t V);
+
 } // namespace elide
 
 #endif // SGXELIDE_SUPPORT_HEX_H

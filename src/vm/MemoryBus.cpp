@@ -6,6 +6,8 @@
 
 #include "vm/MemoryBus.h"
 
+#include "support/Hex.h"
+
 #include <cstring>
 
 using namespace elide;
@@ -22,7 +24,7 @@ FlatMemory::FlatMemory(size_t Size)
 
 Error FlatMemory::checkRange(uint64_t Addr, uint64_t Size) const {
   if (Addr + Size < Addr || Addr + Size > Ram.size())
-    return makeError("memory access [0x" + std::to_string(Addr) + ", +" +
+    return makeError("memory access [" + hexAddress(Addr) + ", +" +
                      std::to_string(Size) + ") out of bounds");
   return Error::success();
 }

@@ -14,6 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/App.h"
+#include "crypto/Sha256.h"
+#include "elf/ElfImage.h"
 #include "elide/HostRuntime.h"
 #include "elide/Pipeline.h"
 #include "server/Transport.h"
@@ -50,20 +52,22 @@ void PrintTo(const AppCase &C, std::ostream *OS) {
 
 class AppWorkloadTest : public ::testing::TestWithParam<AppCase> {};
 
-TEST_P(AppWorkloadTest, BuiltInSuitePasses) {
-  const AppSpec &App = appByName(GetParam().App);
-  Config Mode = GetParam().Mode;
-
+/// Builds the case's app for its storage mode with the suite's vendor key.
+Expected<BuildArtifacts> buildCase(const AppCase &Case, BuildOptions &Options) {
   Drbg Rng(2024);
   Ed25519Seed Seed{};
   Rng.fill(MutableBytesView(Seed.data(), 32));
-  Ed25519KeyPair Vendor = ed25519KeyPairFromSeed(Seed);
+  Options.Storage = Case.Mode == Config::ElideLocal ? SecretStorage::Local
+                                                    : SecretStorage::Remote;
+  return buildProtectedEnclave(appByName(Case.App).TrustedSources,
+                               ed25519KeyPairFromSeed(Seed), Options);
+}
 
+TEST_P(AppWorkloadTest, BuiltInSuitePasses) {
+  const AppSpec &App = appByName(GetParam().App);
+  Config Mode = GetParam().Mode;
   BuildOptions Options;
-  Options.Storage = Mode == Config::ElideLocal ? SecretStorage::Local
-                                               : SecretStorage::Remote;
-  Expected<BuildArtifacts> Artifacts =
-      buildProtectedEnclave(App.TrustedSources, Vendor, Options);
+  Expected<BuildArtifacts> Artifacts = buildCase(GetParam(), Options);
   ASSERT_TRUE(static_cast<bool>(Artifacts)) << Artifacts.errorMessage();
 
   sgx::SgxDevice Device(555);
@@ -109,6 +113,79 @@ TEST_P(AppWorkloadTest, BuiltInSuitePasses) {
   Error WorkErr = App.RunWorkload(**E);
   EXPECT_FALSE(static_cast<bool>(WorkErr))
       << (WorkErr ? WorkErr.message() : "");
+}
+
+/// Pages the image's loadable segments span.
+size_t imagePages(const Bytes &ElfFile) {
+  Expected<ElfImage> Image = ElfImage::parse(ElfFile);
+  EXPECT_TRUE(static_cast<bool>(Image));
+  size_t N = 0;
+  if (Image)
+    for (const ElfSegment &Seg : Image->segments())
+      if (Seg.Type == PT_LOAD)
+        N += (Seg.MemSize + sgx::EpcPageSize - 1) / sgx::EpcPageSize;
+  return N;
+}
+
+/// The enclave's MRENCLAVE re-derived from its pages as loaded: ECREATE
+/// over the enclave size, then for every resident page in address order
+/// (the loader's EADD order) one EADD and 16 EEXTENDs of 256 bytes.
+sgx::Measurement remeasure(sgx::Enclave &E,
+                           const std::vector<uint64_t> &Pages) {
+  auto le64 = [](uint64_t V) {
+    Bytes B(8);
+    writeLE64(B.data(), V);
+    return B;
+  };
+  Sha256 Hash;
+  Hash.update(viewOf(std::string("ECREATE")));
+  Hash.update(le64(Pages.back() + sgx::EpcPageSize));
+  for (uint64_t Page : Pages) {
+    Expected<Bytes> Data = E.readMemory(Page, sgx::EpcPageSize);
+    EXPECT_TRUE(static_cast<bool>(Data)) << Data.errorMessage();
+    if (!Data)
+      return {};
+    Hash.update(viewOf(std::string("EADD")));
+    Hash.update(le64(Page));
+    Hash.update(le64(*E.pagePermissions(Page)));
+    for (uint64_t Off = 0; Off < sgx::EpcPageSize; Off += sgx::EextendChunk) {
+      Hash.update(viewOf(std::string("EEXTEND")));
+      Hash.update(le64(Page + Off));
+      Hash.update(BytesView(Data->data() + Off, sgx::EextendChunk));
+    }
+  }
+  Sha256Digest D = Hash.final();
+  sgx::Measurement M;
+  std::copy(D.begin(), D.end(), M.begin());
+  return M;
+}
+
+// A load EADDs the image's pages, a 16 KiB bridge arena and a 32 KiB
+// stack, and nothing else: no staging buffer, no unused heap. Every one
+// of those pages is still measured in full.
+TEST_P(AppWorkloadTest, LoadMeasuresOnlyTheImageArenaAndStack) {
+  BuildOptions Options;
+  Expected<BuildArtifacts> Artifacts = buildCase(GetParam(), Options);
+  ASSERT_TRUE(static_cast<bool>(Artifacts)) << Artifacts.errorMessage();
+  bool Plain = GetParam().Mode == Config::PlainSgx;
+  const Bytes &Elf = Plain ? Artifacts->PlainElf : Artifacts->SanitizedElf;
+
+  sgx::SgxDevice Device(557);
+  Expected<std::unique_ptr<sgx::Enclave>> E = sgx::loadEnclave(
+      Device, Elf, Plain ? Artifacts->PlainSig : Artifacts->SanitizedSig,
+      Options.Layout);
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+
+  std::vector<uint64_t> Resident;
+  for (uint64_t Page = 0; Page < (1u << 20); Page += sgx::EpcPageSize)
+    if ((*E)->pagePermissions(Page))
+      Resident.push_back(Page);
+  constexpr size_t ArenaPages = 4, StackPages = 8;
+  EXPECT_EQ(Resident.size(), imagePages(Elf) + ArenaPages + StackPages);
+  EXPECT_GE(Resident.size(), 15u);
+  EXPECT_LE(Resident.size(), 19u);
+  ASSERT_FALSE(Resident.empty());
+  EXPECT_EQ(remeasure(**E, Resident), (*E)->mrEnclave());
 }
 
 std::vector<AppCase> allCases() {

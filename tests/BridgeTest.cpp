@@ -43,6 +43,21 @@ export fn oversize_ocall(inp: *u8, inlen: u64, outp: *u8, outcap: u64) -> u64 {
   var tiny: u8[4];
   return elide_read_file(inp, 0, &tiny[0], 4);
 }
+
+// Recursion whose every frame holds a 256-byte array: dive(n) returns
+// the sum of k mod 256 for k = 1..n.
+fn dive(n: u64) -> u64 {
+  var pad: u8[256];
+  pad[255] = n as u8;
+  if (n == 0) {
+    return 0;
+  }
+  return dive(n - 1) + (pad[255] as u64);
+}
+
+export fn recurse(inp: *u8, inlen: u64, outp: *u8, outcap: u64) -> u64 {
+  return dive(load_le64(inp));
+}
 )elc";
 
 struct Fixture {
@@ -121,6 +136,99 @@ TEST(BridgeSemanticsTest, OversizedOcallResponseFaults) {
   ASSERT_TRUE(static_cast<bool>(R));
   EXPECT_EQ(R->Exec.Kind, TrapKind::HandlerFault);
   EXPECT_NE(R->Exec.Message.find("exceeds"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Layout bounds: a 16 KiB bridge arena and a 32 KiB stack by default
+//===----------------------------------------------------------------------===//
+
+Bytes le64Bytes(uint64_t V) {
+  Bytes B(8);
+  writeLE64(B.data(), V);
+  return B;
+}
+
+TEST(BridgeLayoutTest, BuffersPastTheDefaultArenaAreRefused) {
+  Fixture F = Fixture::make();
+  // 16 KiB - 16 in and 16 out fill the arena exactly...
+  Bytes In(16 * 1024 - 16, 0x5a);
+  Expected<sgx::EcallResult> Fits = F.E->ecall("echo", In, 16);
+  ASSERT_TRUE(static_cast<bool>(Fits)) << Fits.errorMessage();
+  ASSERT_TRUE(Fits->ok()) << Fits->Exec.Message;
+  EXPECT_EQ(Fits->Output, Bytes(16, 0x5a));
+  // ...and one more input byte does not.
+  In.push_back(0x5a);
+  Expected<sgx::EcallResult> R = F.E->ecall("echo", In, 16);
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.errorMessage().find("exceed the bridge arena"),
+            std::string::npos)
+      << R.errorMessage();
+}
+
+TEST(BridgeLayoutTest, AppSignedWithALargerLayoutFitsTheSameEcall) {
+  Drbg Rng(608);
+  Ed25519Seed Seed{};
+  Rng.fill(MutableBytesView(Seed.data(), 32));
+  Ed25519KeyPair Vendor = ed25519KeyPairFromSeed(Seed);
+  BuildOptions Options;
+  Options.Layout.HeapSize = 64 * 1024;
+  Expected<BuildArtifacts> A =
+      buildProtectedEnclave({{"bridge.elc", BridgeSource}}, Vendor, Options);
+  ASSERT_TRUE(static_cast<bool>(A)) << A.errorMessage();
+
+  // The signer measured the larger heap, so only a loader that reads the
+  // same layout passes EINIT.
+  sgx::SgxDevice Device(2);
+  Expected<std::unique_ptr<sgx::Enclave>> Default =
+      sgx::loadEnclave(Device, A->PlainElf, A->PlainSig, sgx::EnclaveLayout{});
+  ASSERT_FALSE(static_cast<bool>(Default));
+  EXPECT_NE(Default.errorMessage().find("measurement"), std::string::npos)
+      << Default.errorMessage();
+
+  Expected<std::unique_ptr<sgx::Enclave>> E =
+      sgx::loadEnclave(Device, A->PlainElf, A->PlainSig, Options.Layout);
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(nullptr, nullptr);
+  Host.attach(**E);
+  Bytes In(32 * 1024, 0x33);
+  Expected<sgx::EcallResult> R = (*E)->ecall("echo", In, In.size());
+  ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
+  ASSERT_TRUE(R->ok()) << R->Exec.Message;
+  EXPECT_EQ(R->Output, In);
+}
+
+TEST(BridgeLayoutTest, StackOverflowFaultsAtTheGuardPage) {
+  Fixture F = Fixture::make();
+  // Shallow recursion fits the 32 KiB stack.
+  Expected<sgx::EcallResult> Shallow =
+      F.E->ecall("recurse", le64Bytes(20), 0);
+  ASSERT_TRUE(static_cast<bool>(Shallow)) << Shallow.errorMessage();
+  ASSERT_TRUE(Shallow->ok()) << Shallow->Exec.Message;
+  EXPECT_EQ(Shallow->status(), 210u);
+
+  // The stack is the top 32 KiB of the enclave, with one unmapped guard
+  // page below it and the bridge arena below that.
+  uint64_t Top = 0;
+  for (uint64_t Page = 0; Page < (1u << 20); Page += sgx::EpcPageSize)
+    if (F.E->pagePermissions(Page))
+      Top = Page + sgx::EpcPageSize;
+  uint64_t StackBase = Top - 32 * 1024;
+  uint64_t Guard = StackBase - sgx::EpcPageSize;
+  ASSERT_FALSE(static_cast<bool>(F.E->pagePermissions(Guard)));
+  ASSERT_TRUE(static_cast<bool>(F.E->pagePermissions(Guard - 1)));
+
+  // 120 levels need about 50 KiB of stack (a frame is ~416 bytes): the
+  // first access past the stack faults in the guard page instead of
+  // landing in the arena.
+  Expected<sgx::EcallResult> Deep = F.E->ecall("recurse", le64Bytes(120), 0);
+  ASSERT_TRUE(static_cast<bool>(Deep)) << Deep.errorMessage();
+  EXPECT_EQ(Deep->Exec.Kind, TrapKind::MemoryFault) << Deep->Exec.Message;
+  const std::string &Msg = Deep->Exec.Message;
+  size_t At = Msg.find("page fault at 0x");
+  ASSERT_NE(At, std::string::npos) << Msg;
+  uint64_t Addr = std::stoull(Msg.substr(At + 16), nullptr, 16);
+  EXPECT_GE(Addr, Guard) << Msg;
+  EXPECT_LT(Addr, StackBase) << Msg;
 }
 
 TEST(BridgeSemanticsTest, DebugPrintSuppressedForProductionEnclaves) {

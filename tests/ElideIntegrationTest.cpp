@@ -22,6 +22,8 @@
 #include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
+#include "support/AtomicFile.h"
+#include "support/File.h"
 #include "vm/Disassembler.h"
 
 #include <gtest/gtest.h>
@@ -80,8 +82,10 @@ struct Scenario {
   std::unique_ptr<LoopbackTransport> Link;
 };
 
-std::unique_ptr<Scenario> makeScenario(SecretStorage Storage,
-                                       uint64_t Attributes = sgx::AttrDebug) {
+std::unique_ptr<Scenario>
+makeScenario(SecretStorage Storage, uint64_t Attributes = sgx::AttrDebug,
+             std::vector<elc::SourceFile> Sources = {
+                 {"secret_app.elc", SecretAppSource}}) {
   auto S = std::make_unique<Scenario>();
   Drbg Rng(42);
   Ed25519Seed Seed{};
@@ -90,8 +94,8 @@ std::unique_ptr<Scenario> makeScenario(SecretStorage Storage,
 
   S->Options.Storage = Storage;
   S->Options.Attributes = Attributes;
-  Expected<BuildArtifacts> Artifacts = buildProtectedEnclave(
-      {{"secret_app.elc", SecretAppSource}}, S->Vendor, S->Options);
+  Expected<BuildArtifacts> Artifacts =
+      buildProtectedEnclave(Sources, S->Vendor, S->Options);
   if (!Artifacts) {
     ADD_FAILURE() << "pipeline failed: " << Artifacts.errorMessage();
     return nullptr;
@@ -142,6 +146,27 @@ Bytes le64Bytes(uint64_t V) {
   Bytes B(8);
   writeLE64(B.data(), V);
   return B;
+}
+
+/// The text section as an image ships it.
+Bytes imageText(const Bytes &ElfFile) {
+  Expected<ElfImage> Image = ElfImage::parse(ElfFile);
+  EXPECT_TRUE(static_cast<bool>(Image));
+  const ElfSection *Text = Image ? Image->sectionByName(".text") : nullptr;
+  EXPECT_NE(Text, nullptr);
+  return Text ? Image->sectionContents(*Text) : Bytes();
+}
+
+/// The enclave's text section as it stands, read through the bus.
+Bytes liveText(sgx::Enclave &E, const Bytes &ElfFile) {
+  Expected<ElfImage> Image = ElfImage::parse(ElfFile);
+  EXPECT_TRUE(static_cast<bool>(Image));
+  const ElfSection *Text = Image ? Image->sectionByName(".text") : nullptr;
+  if (!Text)
+    return Bytes();
+  Expected<Bytes> Live = E.readMemory(Text->Addr, Text->Size);
+  EXPECT_TRUE(static_cast<bool>(Live)) << Live.errorMessage();
+  return Live ? *Live : Bytes();
 }
 
 //===----------------------------------------------------------------------===//
@@ -213,13 +238,6 @@ TEST(ElideSecrecyTest, PlainImageLeaksSecretsSanitizedDoesNot) {
   auto S = makeScenario(SecretStorage::Remote);
   ASSERT_NE(S, nullptr);
 
-  auto textOf = [](const Bytes &ElfFile) {
-    Expected<ElfImage> Image = ElfImage::parse(ElfFile);
-    EXPECT_TRUE(static_cast<bool>(Image));
-    const ElfSection *Text = Image->sectionByName(".text");
-    EXPECT_NE(Text, nullptr);
-    return Image->sectionContents(*Text);
-  };
   auto symbolRange = [](const Bytes &ElfFile, const std::string &Name,
                         const Bytes &Text) {
     Expected<ElfImage> Image = ElfImage::parse(ElfFile);
@@ -231,8 +249,8 @@ TEST(ElideSecrecyTest, PlainImageLeaksSecretsSanitizedDoesNot) {
     return Bytes(Text.begin() + Off, Text.begin() + Off + Sym->Size);
   };
 
-  Bytes PlainText = textOf(S->Artifacts.PlainElf);
-  Bytes SanText = textOf(S->Artifacts.SanitizedElf);
+  Bytes PlainText = imageText(S->Artifacts.PlainElf);
+  Bytes SanText = imageText(S->Artifacts.SanitizedElf);
   ASSERT_EQ(PlainText.size(), SanText.size());
 
   // The attacker's disassembler recovers the secret constant from the
@@ -406,6 +424,15 @@ TEST(ElideSecurityTest, TamperedLocalDataFileIsRejected) {
   Expected<uint64_t> Status = L.Host->restore(*L.E);
   ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
   EXPECT_NE(*Status, 0u) << "GCM must reject the tampered data file";
+  // The rejected ciphertext wrote nothing, and the genuine file restores.
+  EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf),
+            imageText(S->Artifacts.SanitizedElf));
+  L.Host->setSecretDataFile(S->Artifacts.SecretData);
+  Status = L.Host->restore(*L.E);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, 0u);
+  EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf),
+            imageText(S->Artifacts.PlainElf));
 }
 
 //===----------------------------------------------------------------------===//
@@ -487,6 +514,188 @@ TEST(ElideSealingTest, SealedBlobFromOtherDeviceIsUseless) {
   EXPECT_EQ(*Status, 0u);
   EXPECT_EQ(S->Server->stats().HandshakesCompleted, HandshakesBefore + 1);
 }
+
+//===----------------------------------------------------------------------===//
+// Restore atomicity: each tcall that produces the secret bytes verifies
+// them and then writes all of them over the text, or none
+//===----------------------------------------------------------------------===//
+
+/// Forwards each frame to whichever transport the test points it at, so
+/// one enclave and host can meet a faulty server and then a good one.
+class SwitchLink final : public Transport {
+public:
+  explicit SwitchLink(Transport *To) : To(To) {}
+  Expected<Bytes> roundTrip(BytesView Request) override {
+    return To->roundTrip(Request);
+  }
+  Transport *To;
+};
+
+/// A server for \p S that answers DATA with \p Body. The record layer
+/// authenticates whatever body the server holds.
+std::unique_ptr<AuthServer> serverAnswering(const Scenario &S, Bytes Body) {
+  AuthServerConfig Config;
+  Config.AuthorityKey = S.Authority->publicKey();
+  ServerProvisioning P = provisioningFor(S.Artifacts, S.Options);
+  Config.ExpectedMrEnclave = P.SanitizedMrEnclave;
+  Config.ExpectedMrSigner = P.MrSigner;
+  Config.Meta = S.Artifacts.Meta;
+  Config.SecretData = std::move(Body);
+  return std::make_unique<AuthServer>(std::move(Config));
+}
+
+TEST(ElideAtomicityTest, AuthenticatedDataOfTheWrongLengthWritesNothing) {
+  auto S = makeScenario(SecretStorage::Remote);
+  ASSERT_NE(S, nullptr);
+  const Bytes Sanitized = imageText(S->Artifacts.SanitizedElf);
+  const Bytes Plain = imageText(S->Artifacts.PlainElf);
+  Bytes Short = S->Artifacts.SecretData;
+  Short.pop_back();
+  Bytes Long = S->Artifacts.SecretData;
+  Long.push_back(0x42);
+
+  for (const Bytes &Body : {Short, Long}) {
+    SCOPED_TRACE(Body.size() < Plain.size() ? "one byte short"
+                                            : "one byte long");
+    std::unique_ptr<AuthServer> Liar = serverAnswering(*S, Body);
+    LoopbackTransport LiarLink(*Liar);
+    SwitchLink Link(&LiarLink);
+    Launched L = launchSanitized(*S, &Link);
+    ASSERT_NE(L.E, nullptr);
+
+    Expected<uint64_t> Status = L.Host->restore(*L.E);
+    ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(*Status, uint64_t{RestoreDataFetchFailed});
+    EXPECT_EQ(Liar->stats().DataRequests, 1u) << "the body was served";
+    EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf), Sanitized);
+
+    // The same enclave then restores cleanly from an honest server.
+    Link.To = S->Link.get();
+    Status = L.Host->restore(*L.E);
+    ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(*Status, 0u);
+    EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf), Plain);
+  }
+}
+
+TEST(ElideAtomicityTest, SealedBlobOfTheWrongLengthFallsBackToTheServer) {
+  auto S = makeScenario(SecretStorage::Remote);
+  ASSERT_NE(S, nullptr);
+  const Bytes Sanitized = imageText(S->Artifacts.SanitizedElf);
+  const Bytes Plain = imageText(S->Artifacts.PlainElf);
+
+  // A blob sealed under this very MRENCLAVE on this device, whose data is
+  // one byte shorter than its own metadata says. The AAD is the one the
+  // trusted runtime binds to its sealed secrets.
+  std::string Path = ::testing::TempDir() + "elide_sealed_wrong_length.bin";
+  {
+    Expected<std::unique_ptr<sgx::Enclave>> Sealer =
+        sgx::loadEnclave(*S->Device, S->Artifacts.SanitizedElf,
+                         S->Artifacts.SanitizedSig, S->Options.Layout);
+    ASSERT_TRUE(static_cast<bool>(Sealer)) << Sealer.errorMessage();
+    Bytes Contents = S->Artifacts.Meta.serialize();
+    appendBytes(Contents, BytesView(Plain.data(), Plain.size() - 1));
+    Expected<Bytes> Blob =
+        (*Sealer)->seal(sgx::SealPolicy::MrEnclave, Contents,
+                        viewOf(std::string("SGXELIDE-SEALED-SECRETS")));
+    ASSERT_TRUE(static_cast<bool>(Blob)) << Blob.errorMessage();
+    ASSERT_FALSE(static_cast<bool>(
+        writeFileBytes(Path, encodeVersionedBlob(*Blob))));
+  }
+
+  // Offline, the blob alone cannot restore, and it writes nothing.
+  {
+    Launched L = launchSanitized(*S, /*Link=*/nullptr);
+    ASSERT_NE(L.E, nullptr);
+    L.Host->setSealedPath(Path);
+    Expected<uint64_t> Status = L.Host->restore(*L.E);
+    ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(*Status, uint64_t{RestoreServerUnreachable});
+    EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf), Sanitized);
+  }
+
+  // Online, the restore falls back to the server and succeeds.
+  Launched L = launchSanitized(*S, S->Link.get());
+  ASSERT_NE(L.E, nullptr);
+  L.Host->setSealedPath(Path);
+  Expected<uint64_t> Status = L.Host->restore(*L.E);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, 0u);
+  EXPECT_EQ(S->Server->stats().HandshakesCompleted, 1u);
+  EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf), Plain);
+  removeFile(Path);
+}
+
+//===----------------------------------------------------------------------===//
+// A text section over 128 KiB restores in both modes
+//===----------------------------------------------------------------------===//
+
+/// Step \p Step of mix_\p Fn: a = (a ^ (a >> 13)) * K + C.
+uint64_t mixMultiplier(int Fn, int Step) { return (Fn * 131 + Step * 7) | 1; }
+uint64_t mixAddend(int Fn, int Step) { return Fn * 1000 + Step; }
+
+constexpr int LargeFunctions = 40;
+constexpr int LargeSteps = 48;
+
+/// An app of LargeFunctions straight-line functions, each LargeSteps
+/// mixing steps long: about 175 KiB of text.
+std::string largeAppSource() {
+  std::string Src;
+  for (int F = 0; F < LargeFunctions; ++F) {
+    Src += "fn mix_" + std::to_string(F) + "(x: u64) -> u64 {\n";
+    Src += "  var a: u64 = x;\n";
+    for (int Step = 0; Step < LargeSteps; ++Step)
+      Src += "  a = (a ^ (a >> 13)) * " +
+             std::to_string(mixMultiplier(F, Step)) + " + " +
+             std::to_string(mixAddend(F, Step)) + ";\n";
+    Src += "  return a;\n}\n";
+  }
+  Src += "export fn run_large(inp: *u8, inlen: u64, outp: *u8, outcap: u64) "
+         "-> u64 {\n  var x: u64 = load_le64(inp);\n";
+  for (int F = 0; F < LargeFunctions; ++F)
+    Src += "  x = mix_" + std::to_string(F) + "(x);\n";
+  Src += "  store_le64(outp, x);\n  return 0;\n}\n";
+  return Src;
+}
+
+uint64_t largeAppReference(uint64_t X) {
+  for (int F = 0; F < LargeFunctions; ++F)
+    for (int Step = 0; Step < LargeSteps; ++Step)
+      X = (X ^ (X >> 13)) * mixMultiplier(F, Step) + mixAddend(F, Step);
+  return X;
+}
+
+class ElideLargeTextTest : public ::testing::TestWithParam<SecretStorage> {};
+
+TEST_P(ElideLargeTextTest, RestoresTextOver128KiB) {
+  auto S = makeScenario(GetParam(), sgx::AttrDebug,
+                        {{"large_app.elc", largeAppSource()}});
+  ASSERT_NE(S, nullptr);
+  const Bytes Plain = imageText(S->Artifacts.PlainElf);
+  ASSERT_GT(Plain.size(), 128u * 1024);
+  Launched L = launchSanitized(*S, S->Link.get());
+  ASSERT_NE(L.E, nullptr);
+
+  Expected<uint64_t> Status = L.Host->restore(*L.E);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  ASSERT_EQ(*Status, 0u) << restoreStatusName(*Status);
+  EXPECT_EQ(liveText(*L.E, S->Artifacts.SanitizedElf), Plain);
+
+  Expected<sgx::EcallResult> R =
+      L.E->ecall("run_large", le64Bytes(0x1234), 8);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.errorMessage();
+  ASSERT_TRUE(R->ok()) << R->Exec.Message;
+  EXPECT_EQ(readLE64(R->Output.data()), largeAppReference(0x1234));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, ElideLargeTextTest,
+                         ::testing::Values(SecretStorage::Remote,
+                                           SecretStorage::Local),
+                         [](const auto &Info) {
+                           return Info.param == SecretStorage::Remote
+                                      ? "RemoteData"
+                                      : "LocalData";
+                         });
 
 //===----------------------------------------------------------------------===//
 // SGX1 vs SGX2 permission semantics

@@ -80,8 +80,11 @@ TEST(MeasurementTest, BuilderValidatesPages) {
   EXPECT_TRUE(static_cast<bool>(B.addPage(0x2000, PermRead,
                                           Bytes(4097, 0))))
       << "oversized content must be rejected";
-  EXPECT_TRUE(static_cast<bool>(B.addPage(0xfffffffffffff000, PermRead, {})))
+  Error Wrapping = B.addPage(0xfffffffffffff000, PermRead, {});
+  ASSERT_TRUE(static_cast<bool>(Wrapping))
       << "a page whose end wraps past 2^64 is outside the enclave range";
+  EXPECT_NE(Wrapping.message().find("0xfffffffffffff000"), std::string::npos)
+      << Wrapping.message();
 
   SgxDevice::Builder Huge(D, MaxEnclaveSize + 0x10000);
   EXPECT_TRUE(static_cast<bool>(Huge.addPage(MaxEnclaveSize, PermRead, {})))

@@ -8,6 +8,7 @@
 #include "support/Bytes.h"
 #include "support/Error.h"
 #include "support/File.h"
+#include "support/Hex.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
@@ -170,6 +171,12 @@ TEST(BytesTest, StringConversions) {
   Bytes B = bytesOfString(S);
   EXPECT_EQ(stringOfBytes(B), S);
   EXPECT_EQ(viewOf(S).size(), S.size());
+}
+
+TEST(HexTest, AddressesPrintHexAfterTheirPrefix) {
+  EXPECT_EQ(hexAddress(0x17fc), "0x17fc");
+  EXPECT_EQ(hexAddress(0), "0x0");
+  EXPECT_EQ(hexAddress(UINT64_MAX), "0xffffffffffffffff");
 }
 
 TEST(FileTest, RoundTripAndMissing) {

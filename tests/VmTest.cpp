@@ -286,7 +286,7 @@ TEST_P(VmExecTest, PartialTailPageFaultsLikeTheReference) {
   EXPECT_EQ(Got.Exec.Pc, 56u);
   EXPECT_EQ(Got.Exec.InstructionsRetired, 8u);
   EXPECT_EQ(Got.Exec.Message,
-            "store: memory access [0x6140, +8) out of bounds");
+            "store: memory access [0x17fc, +8) out of bounds");
   EXPECT_EQ(Got.Regs[4], static_cast<uint64_t>(int64_t{-0x1234}));
   EXPECT_EQ(Got.Regs[5], static_cast<uint64_t>(int64_t{-0x1234}));
   EXPECT_EQ(readLE32(Got.Memory.data() + 0x17fc),
