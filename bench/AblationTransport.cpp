@@ -9,9 +9,9 @@
 /// restore cost over a live socket to the developer's authentication
 /// server; this ablation separates the layers: in-process loopback (pure
 /// protocol cost), real TCP on localhost (framing + sockets + the
-/// concurrent server), and TCP under injected faults with client retry
-/// (the paper's flaky-network / denial-of-service edge, short of a full
-/// outage).
+/// concurrent server), and TCP under injected faults with the restore
+/// loop retrying (the paper's flaky-network / denial-of-service edge,
+/// short of a full outage).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,8 +7,10 @@
 #include "elide/HostRuntime.h"
 
 #include "elide/TrustedLib.h"
+#include "support/Backoff.h"
 #include "support/File.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -56,17 +58,31 @@ Expected<uint64_t> ElideHost::restore(sgx::Enclave &E) {
 
 Expected<uint64_t> ElideHost::restore(sgx::Enclave &E,
                                       const RestorePolicy &Policy) {
-  int Attempts = Policy.MaxAttempts > 0 ? Policy.MaxAttempts : 1;
+  using Clock = std::chrono::steady_clock;
+  constexpr long long MaxWaitMs = 1000; // Ceiling of the doubling wait.
+  int Attempts = std::max(1, Policy.MaxAttempts);
+  uint32_t DeadlineMs = requestDeadlineMs();
+  Clock::time_point Stop = Clock::now() + std::chrono::milliseconds(DeadlineMs);
+  Drbg Jitter(Policy.JitterSeed);
   uint64_t Status = RestoreNoSecrets;
-  long long DelayMs = Policy.RetryDelayMs;
   for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    if (Attempt > 1 && DelayMs > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-      DelayMs *= 2;
+    if (Attempt > 1) {
+      std::chrono::milliseconds Wait(jitteredBackoffMs(
+          Policy.RetryDelayMs, Attempt - 1, MaxWaitMs, Jitter));
+      if (DeadlineMs && Clock::now() + Wait >= Stop) {
+        emit({ProvisionEventKind::FailoverExhausted, -1, "",
+              TransportErrc::DeadlineExceeded, 0,
+              "restore deadline (" + std::to_string(DeadlineMs) +
+                  " ms) leaves no time for attempt " +
+                  std::to_string(Attempt)});
+        return Status;
+      }
+      std::this_thread::sleep_for(Wait);
     }
-    ELIDE_TRY(uint64_t S, restore(E));
-    Status = S;
-    if (Status == RestoreOk || !isRetryableRestoreStatus(Status))
+    RequestFailure.reset();
+    ELIDE_TRY(Status, restore(E));
+    if (Status == RestoreOk || !isRetryableRestoreStatus(Status) ||
+        (RequestFailure && !isRetryableTransportErrc(*RequestFailure)))
       return Status;
   }
   return Status;
@@ -114,20 +130,29 @@ Expected<Bytes> ElideHost::writeSealed(BytesView Request) {
   return Bytes();
 }
 
+Expected<Bytes> ElideHost::serverRequest(BytesView Request) {
+  if (!Server)
+    return makeError("no connection to the authentication server "
+                     "(denial of service: the enclave cannot restore)");
+  // Stamp the configured criticality/deadline envelope onto the wire.
+  // The default (Default class, no deadline) sends the bare frame, so
+  // hosts that never call setRequestClass stay byte-identical.
+  Criticality Class = requestClass();
+  uint32_t DeadlineMs = requestDeadlineMs();
+  if (Class == Criticality::Default && DeadlineMs == 0)
+    return Server->roundTrip(Request);
+  return Server->roundTrip(envelopeFrame(DeadlineMs, Class, Request));
+}
+
 Expected<Bytes> ElideHost::handleOcall(uint32_t Index, BytesView Request) {
   switch (Index) {
   case OcallServerRequest: {
-    if (!Server)
-      return makeError("no connection to the authentication server "
-                       "(denial of service: the enclave cannot restore)");
-    // Stamp the configured criticality/deadline envelope onto the wire.
-    // The default (Default class, no deadline) sends the bare frame, so
-    // hosts that never call setRequestClass stay byte-identical.
-    Criticality Class = requestClass();
-    uint32_t DeadlineMs = requestDeadlineMs();
-    if (Class == Criticality::Default && DeadlineMs == 0)
-      return Server->roundTrip(Request);
-    return Server->roundTrip(envelopeFrame(DeadlineMs, Class, Request));
+    Expected<Bytes> Response = serverRequest(Request);
+    // The restore loop reads the failed request's kind to tell a
+    // transient from a verdict (bad address, dry budget, no server).
+    if (!Response)
+      RequestFailure = transportErrcOf(Response);
+    return Response;
   }
 
   case OcallReadFile:

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <string>
 
 namespace elide {
@@ -40,15 +41,22 @@ using AppOcallHandler =
 /// Human-readable name for a restore status (diagnostics).
 const char *restoreStatusName(uint64_t Status);
 
-/// Retry behavior for `ElideHost::restore`. Because a failed restore
-/// never half-writes the text section, retrying is always *safe*; the
-/// policy bounds how long the host keeps trying, and the loop stops
-/// early on terminal statuses (the shared table in support/Error.h).
+/// Retry behavior for `ElideHost::restore`, the host's one retry loop:
+/// transports send each request once, and the `Provisioner`'s failover
+/// walk is routing, not retry. Because a failed restore never half-writes
+/// the text section, a whole restore is always safe to retry and cures
+/// every transient (a lost frame, a garbled reply, a stale session, a
+/// refusal for time). The loop stops early on a terminal status, on a
+/// terminal transport kind from the attempt's failed server request (the
+/// shared table in support/Error.h), and at the host's request deadline.
 struct RestorePolicy {
   /// Total restore attempts (1 = no retry).
   int MaxAttempts = 1;
-  /// Pause between attempts, doubled each retry.
+  /// First pause between attempts; it doubles each retry up to 1 s, plus
+  /// up to 50 % jitter (support/Backoff.h).
   int RetryDelayMs = 10;
+  /// Seed for the jitter (distinct machines spread their retries).
+  uint64_t JitterSeed = 1;
 };
 
 /// The untrusted SgxElide runtime for one enclave.
@@ -81,9 +89,10 @@ public:
   const std::string &sealedPath() const { return SealedPath; }
 
   /// Observation hook for cache persistence events (CacheWritten,
-  /// CacheWriteFailed, CacheQuarantined). Shares the ProvisionEvent
-  /// vocabulary with `Provisioner`, so one callback can watch the whole
-  /// chain.
+  /// CacheWriteFailed, CacheQuarantined) and for the restore loop
+  /// stopping at its deadline (FailoverExhausted with DeadlineExceeded).
+  /// Shares the ProvisionEvent vocabulary with `Provisioner`, so one
+  /// callback can watch the whole chain.
   void setEventCallback(ProvisionEventCallback Callback) {
     EventCallback = std::move(Callback);
   }
@@ -139,13 +148,18 @@ public:
   Expected<uint64_t> restore(sgx::Enclave &E);
 
   /// Like restore(), but keeps attempting under \p Policy while the
-  /// restorer reports a nonzero status. Returns the final status (0 when
-  /// some attempt succeeded). Ecall traps abort immediately -- a trapped
-  /// restorer is a broken build, not a network hiccup.
+  /// restorer reports a retryable status. Returns the final status (0
+  /// when some attempt succeeded). With a request deadline set
+  /// (`setRequestClass`), no attempt starts and no wait is slept past it
+  /// from the call; stopping for time reports a FailoverExhausted event
+  /// carrying `TransportErrc::DeadlineExceeded`. Ecall traps abort
+  /// immediately -- a trapped restorer is a broken build, not a network
+  /// hiccup.
   Expected<uint64_t> restore(sgx::Enclave &E, const RestorePolicy &Policy);
 
 private:
   Expected<Bytes> handleOcall(uint32_t Index, BytesView Request);
+  Expected<Bytes> serverRequest(BytesView Request);
   Expected<Bytes> readSealed();
   Expected<Bytes> writeSealed(BytesView Request);
   void emit(const ProvisionEvent &Event);
@@ -162,6 +176,9 @@ private:
   AtomicCrashPoint SealedCrashPoint = AtomicCrashPoint::None;
   std::atomic<uint8_t> ReqClass{static_cast<uint8_t>(Criticality::Default)};
   std::atomic<uint32_t> ReqDeadlineMs{0};
+  /// The transport kind of the current restore attempt's failed server
+  /// request (None for an untagged failure); empty while none failed.
+  std::optional<TransportErrc> RequestFailure;
 };
 
 } // namespace elide

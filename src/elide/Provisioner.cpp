@@ -7,6 +7,7 @@
 #include "elide/Provisioner.h"
 
 #include "server/Protocol.h"
+#include "support/Backoff.h"
 
 #include <algorithm>
 #include <optional>
@@ -76,11 +77,8 @@ const char *elide::breakerStateName(BreakerState State) {
 void CircuitBreaker::open(int BaseMs) {
   State = BreakerState::Open;
   ProbeInFlight = false;
-  long long Cooldown = BaseMs;
-  if (BaseMs > 1)
-    Cooldown += static_cast<long long>(
-        Jitter.nextBelow(static_cast<uint64_t>(BaseMs) / 2 + 1));
-  ReopenAt = Clock::now() + std::chrono::milliseconds(Cooldown);
+  long long CooldownMs = jitteredBackoffMs(BaseMs, 1, BaseMs, Jitter);
+  ReopenAt = Clock::now() + std::chrono::milliseconds(CooldownMs);
 }
 
 bool CircuitBreaker::admit() {

@@ -18,7 +18,10 @@
 /// timeout on every exchange. A server that sheds load with a typed
 /// OVERLOADED frame parks the breaker for exactly the advertised
 /// retry-after instead of counting toward endpoint death. A walk sends
-/// one request per endpoint attempt, on the caller's thread.
+/// one request per endpoint attempt, on the caller's thread, under the
+/// chain-wide retry budget. That is routing, not retry: whether to walk
+/// the chain again is the restore loop's decision (`ElideHost::restore`
+/// under a `RestorePolicy`, elide/HostRuntime.h).
 ///
 /// The sealed-cache and local-blob tail of the chain lives in the enclave
 /// (TrustedLib's obtain-secrets order) and in ElideHost's crash-consistent
@@ -109,9 +112,9 @@ struct BreakerConfig {
   int FailureThreshold = 3;
   /// Base cool-down before an Open breaker admits a half-open probe.
   int CooldownMs = 1000;
-  /// Cool-downs get up to 50% deterministic jitter on top of the base so
-  /// a fleet recovering from one outage does not probe in lockstep; this
-  /// seeds the jitter source.
+  /// Cool-downs get up to 50% deterministic jitter on top of the base
+  /// (support/Backoff.h) so a fleet recovering from one outage does not
+  /// probe in lockstep; this seeds the jitter source.
   uint64_t JitterSeed = 1;
   /// Cool-down used for an OVERLOADED verdict when the server supplied no
   /// usable retry-after hint.

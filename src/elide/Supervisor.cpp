@@ -6,9 +6,9 @@
 
 #include "elide/Supervisor.h"
 
-#include <algorithm>
+#include "support/Backoff.h"
+
 #include <chrono>
-#include <thread>
 
 using namespace elide;
 
@@ -173,29 +173,12 @@ Error EnclaveSupervisor::start() {
 }
 
 Expected<uint64_t> EnclaveSupervisor::restorePassLocked() {
-  int Attempts = std::max(1, Config.Restore.MaxAttempts);
-  long long DelayMs = Config.Restore.RetryDelayMs;
-  uint64_t Status = RestoreNoSecrets;
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    if (Attempt > 1 && DelayMs > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-      DelayMs *= 2;
-    }
-    sgx::EnclaveFaultKind Kind =
-        Chaos ? Chaos->armRestore(Host.sealedPath())
-              : sgx::EnclaveFaultKind::None;
-    if (Kind == sgx::EnclaveFaultKind::RestoreFail) {
-      // The injector ordered this exchange to fail; the server-unreachable
-      // status is the honest stand-in (retryable by the shared table).
-      Status = RestoreServerUnreachable;
-    } else {
-      ELIDE_TRY(uint64_t S, Host.restore(*Live));
-      Status = S;
-    }
-    if (Status == RestoreOk || !isRetryableRestoreStatus(Status))
-      break;
-  }
-  return Status;
+  // The injector may fail the whole pass; the server-unreachable status
+  // is the honest stand-in (retryable by the shared table).
+  if (Chaos && Chaos->armRestore(Host.sealedPath()) ==
+                   sgx::EnclaveFaultKind::RestoreFail)
+    return RestoreServerUnreachable;
+  return Host.restore(*Live, Config.Restore);
 }
 
 void EnclaveSupervisor::recordFaultLocked(EnclaveFaultClass Class,
@@ -252,25 +235,15 @@ Error EnclaveSupervisor::faultLocked(EnclaveFaultClass Class, TrapKind Trap,
                             " consecutive faults (last: " +
                             enclaveFaultClassName(Class) + ": " + Message +
                             ")");
-  long long Backoff = backoffForCrashLocked(ConsecutiveCrashes);
+  long long Backoff =
+      jitteredBackoffMs(Config.RecoveryBackoffBaseMs, ConsecutiveCrashes,
+                        RecoveryBackoffMaxMs, Jitter);
   QuarantineUntilMs = nowMs() + Backoff;
   State.store(LifecycleState::Quarantined);
   return makeLifecycleError(
       LifecycleErrc::QuarantinedRetryLater,
       std::string(enclaveFaultClassName(Class)) + ": " + Message +
           " (quarantined; retry-after-ms=" + std::to_string(Backoff) + ")");
-}
-
-long long EnclaveSupervisor::backoffForCrashLocked(int Crash) {
-  long long Base = std::max<long long>(0, Config.RecoveryBackoffBaseMs);
-  if (Base == 0)
-    return 0;
-  long long Max = std::max(Base, RecoveryBackoffMaxMs);
-  long long Backoff = Base;
-  for (int I = 1; I < Crash && Backoff < Max; ++I)
-    Backoff = std::min(Backoff * 2, Max);
-  Backoff += Backoff * static_cast<long long>(Jitter.nextBelow(51)) / 100;
-  return Backoff;
 }
 
 Error EnclaveSupervisor::recoverLocked() {
@@ -316,28 +289,16 @@ Error EnclaveSupervisor::recoverLocked() {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.RecoveryFailures;
     }
+    std::string Why =
+        std::string("recovery restore status: ") + restoreStatusName(*S);
+    if (isRetryableRestoreStatus(*S))
+      return faultLocked(EnclaveFaultClass::RestoreFailure, TrapKind::Halt, 0,
+                         Why);
     recordFaultLocked(EnclaveFaultClass::RestoreFailure, TrapKind::Halt, 0,
-                      std::string("recovery restore status: ") +
-                          restoreStatusName(*S));
-    if (!isRetryableRestoreStatus(*S))
-      return retireLocked(LifecycleErrc::TerminalRestore,
-                          std::string("recovery restore ended terminally: ") +
-                              restoreStatusName(*S));
-    // recordFaultLocked already ran; charge the crash loop and
-    // re-quarantine without double-counting the fault.
-    State.store(LifecycleState::Faulted);
-    ++ConsecutiveCrashes;
-    if (ConsecutiveCrashes > Config.MaxCrashLoops)
-      return retireLocked(LifecycleErrc::CrashLoop,
-                          "crash-loop breaker tripped during recovery");
-    long long Backoff = backoffForCrashLocked(ConsecutiveCrashes);
-    QuarantineUntilMs = nowMs() + Backoff;
-    State.store(LifecycleState::Quarantined);
-    return makeLifecycleError(LifecycleErrc::QuarantinedRetryLater,
-                              std::string("recovery restore status: ") +
-                                  restoreStatusName(*S) +
-                                  " (re-quarantined; retry-after-ms=" +
-                                  std::to_string(Backoff) + ")");
+                      Why);
+    return retireLocked(LifecycleErrc::TerminalRestore,
+                        std::string("recovery restore ended terminally: ") +
+                            restoreStatusName(*S));
   }
   // Deliberately NOT resetting ConsecutiveCrashes here: a rebuild that
   // restores fine but faults again on its first ecall is the definition

@@ -111,11 +111,13 @@ struct SupervisorConfig {
   /// retired for good (the crash-loop circuit breaker).
   int MaxCrashLoops = 5;
   /// Quarantine backoff before the first recovery attempt; doubles per
-  /// consecutive fault up to 2 s. 0 = recover on the next call (tests).
+  /// consecutive fault up to 2 s, plus up to 50 % jitter
+  /// (support/Backoff.h). 0 = recover on the next call (tests).
   long long RecoveryBackoffBaseMs = 50;
-  /// Seed for the backoff jitter (+0..50% per quarantine).
+  /// Seed for the quarantine jitter.
   uint64_t JitterSeed = 1;
-  /// Restore policy for the initial restore and every recovery restore.
+  /// Restore policy the host's retry loop runs for the initial restore
+  /// and every recovery restore.
   RestorePolicy Restore;
 };
 
@@ -170,7 +172,7 @@ public:
                     SupervisorConfig Config = {});
 
   /// Attaches a fault injector consulted before every ecall and restore
-  /// attempt (nullptr detaches). The injector must outlive the supervisor.
+  /// pass (nullptr detaches). The injector must outlive the supervisor.
   void setChaos(sgx::EnclaveChaos *Injector) { Chaos = Injector; }
 
   /// Overrides the millisecond clock used for quarantine deadlines and
@@ -183,9 +185,9 @@ public:
   /// AlreadyLoaded when a live enclave exists.
   Error load();
 
-  /// Loaded -> Restored: runs elide_restore under the configured policy
-  /// (the supervised twin of `ElideHost::restore(E, Policy)`; chaos can
-  /// fail individual attempts). NotLoaded before `load`.
+  /// Loaded -> Restored: runs `ElideHost::restore(E, Config.Restore)`,
+  /// the host's one retry loop (chaos can fail the whole pass). NotLoaded
+  /// before `load`.
   Error restoreNow();
 
   /// Convenience: `load()` then `restoreNow()`.
@@ -255,13 +257,10 @@ private:
   /// Tear down + rebuild + restore. Called with `Mutex` held.
   Error recoverLocked();
 
-  /// One supervised restore pass under `Config.Restore` (chaos consulted
-  /// per attempt). Returns the final status word. Called with `Mutex`
-  /// held on a live enclave.
+  /// One supervised restore pass: consults chaos once, then runs the
+  /// host's retry loop under `Config.Restore`. Returns the final status
+  /// word. Called with `Mutex` held on a live enclave.
   Expected<uint64_t> restorePassLocked();
-
-  /// Backoff for the Nth consecutive crash (1-based), jittered.
-  long long backoffForCrashLocked(int Crash);
 
   long long nowMs() const;
 

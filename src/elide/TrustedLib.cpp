@@ -57,8 +57,13 @@ uint64_t channelInit(Enclave &E, ElideState &S) {
   if (!Response)
     return 11;
   Expected<HelloOk> Ok = parseHelloOkFrame(*Response);
-  if (!Ok)
-    return 12; // Server rejected the attestation.
+  if (!Ok) {
+    // Only the server's verdict on the quote is a rejection. An answer
+    // refused for time, shed load, or garbled on the way is transient.
+    bool Verdict = !Response->empty() && (*Response)[0] == FrameError &&
+                   !errorSaysDeadlineExpired(stringOfBytes(*Response));
+    return Verdict ? 12 : 11;
+  }
 
   S.Sid = Ok->Sid;
   X25519Key Shared = x25519(S.Priv, Ok->ServerPub);

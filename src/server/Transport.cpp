@@ -15,7 +15,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <thread>
 #include <unistd.h>
 
 using namespace elide;
@@ -190,9 +189,6 @@ Expected<Bytes> recvFrameDeadline(int Fd, const Deadline &D) {
 
 namespace {
 
-/// Ceiling of the exponential retry backoff.
-constexpr long long BackoffMaxMs = 1000;
-
 /// RAII socket close.
 struct FdGuard {
   int Fd;
@@ -243,109 +239,29 @@ Expected<int> connectDeadline(const std::string &Host, uint16_t Port,
 
 } // namespace
 
-Expected<Bytes> TcpClientTransport::attemptOnce(BytesView Request,
-                                                int ConnectTimeoutMs,
-                                                int IoTimeoutMs) {
-  ELIDE_TRY(int Fd, connectDeadline(Host, Port, ConnectTimeoutMs));
-  FdGuard Guard{Fd};
-  if (Error E = sendFrameDeadline(Fd, Request, Deadline::in(IoTimeoutMs)))
-    return E;
-  return recvFrameDeadline(Fd, Deadline::in(IoTimeoutMs));
-}
-
 Expected<Bytes> TcpClientTransport::roundTrip(BytesView Request) {
-  int Attempts = Config.MaxAttempts > 0 ? Config.MaxAttempts : 1;
-
-  // An enveloped request carries its remaining budget; track it across
-  // the whole loop (attempts, backoff sleeps) and re-stamp each attempt
-  // with what is actually left so the server sees the truth, not the
-  // budget as of the first try. A malformed envelope is sent as-is: the
-  // server owns the canonical rejection.
-  uint32_t DeadlineMs = 0;
-  Criticality Class = Criticality::Default;
-  BytesView Inner = Request;
-  if (Expected<RequestEnvelope> Env = unwrapRequest(Request)) {
-    DeadlineMs = Env->DeadlineMs;
-    Class = Env->Class;
-    Inner = Env->Inner;
+  // An enveloped request carries the caller's deadline: no connect or IO
+  // wait may outlive it. A malformed envelope is sent as-is: the server
+  // owns the canonical rejection.
+  int ConnectMs = Config.ConnectTimeoutMs;
+  int IoMs = Config.IoTimeoutMs;
+  if (Expected<RequestEnvelope> Env = unwrapRequest(Request);
+      Env && Env->DeadlineMs) {
+    long long Budget = Env->DeadlineMs;
+    ConnectMs = static_cast<int>(std::min<long long>(ConnectMs, Budget));
+    IoMs = static_cast<int>(std::min<long long>(IoMs, Budget));
   }
-  Clock::time_point Start = Clock::now();
-  auto remainingMs = [&]() -> long long {
-    return static_cast<long long>(DeadlineMs) -
-           std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                 Start)
-               .count();
-  };
-  auto deadlineError = [&](const std::string &Where) {
-    return makeTransportError(TransportErrc::DeadlineExceeded,
-                              "request deadline (" +
-                                  std::to_string(DeadlineMs) +
-                                  " ms) exceeded " + Where);
-  };
 
-  Error Last;
-  long long Backoff = 0;
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    if (Attempt > 1) {
-      // Exponential backoff with deterministic jitter: base * 2^(n-1),
-      // capped, plus up to 50% random spread so a fleet of clients
-      // recovering from the same outage does not reconnect in lockstep.
-      // Doubling the capped previous wait stays in range for any number
-      // of attempts.
-      Backoff = std::min(Attempt == 2
-                             ? std::max<long long>(Config.BackoffBaseMs, 0)
-                             : 2 * Backoff,
-                         BackoffMaxMs);
-      long long Spread;
-      {
-        std::lock_guard<std::mutex> Lock(JitterMutex);
-        Spread = Backoff > 1
-                     ? static_cast<long long>(Jitter.nextBelow(Backoff / 2 + 1))
-                     : 0;
-      }
-      long long Wait = Backoff + Spread;
-      if (DeadlineMs && Wait >= remainingMs())
-        return deadlineError("waiting out the retry backoff");
-      std::this_thread::sleep_for(std::chrono::milliseconds(Wait));
-    }
-
-    int ConnectMs = Config.ConnectTimeoutMs;
-    int IoMs = Config.IoTimeoutMs;
-    Bytes Stamped;
-    BytesView Wire = Request;
-    if (DeadlineMs) {
-      long long Left = remainingMs();
-      if (Left <= 0)
-        return deadlineError("before attempt " + std::to_string(Attempt));
-      // No single operation may outlive the request: clamp the per-
-      // operation timeouts to the remaining budget.
-      ConnectMs = static_cast<int>(std::min<long long>(ConnectMs, Left));
-      IoMs = static_cast<int>(std::min<long long>(IoMs, Left));
-      Stamped = envelopeFrame(static_cast<uint32_t>(Left), Class, Inner);
-      Wire = Stamped;
-    }
-
-    LastAttempts.store(Attempt);
-    Expected<Bytes> Response = attemptOnce(Wire, ConnectMs, IoMs);
-    if (Response) {
-      // Backpressure is not payload: surface it typed and at once (no
-      // retry burn on this endpoint) so a failover layer can move on.
-      if (std::optional<uint32_t> After = overloadedRetryAfterMs(*Response))
-        return makeTransportError(TransportErrc::Overloaded,
-                                  "server shed load; retry-after-ms=" +
-                                      std::to_string(*After));
-      return Response;
-    }
-    Error E = Response.takeError();
-    TransportErrc Errc = transportErrcOf(E);
-    if (!isRetryableTransportErrc(Errc))
-      return E;
-    Last = std::move(E);
-  }
-  if (Attempts == 1)
-    return Last; // No retry budget: surface the underlying kind directly.
-  return makeTransportError(TransportErrc::RetriesExhausted,
-                            "retry budget exhausted after " +
-                                std::to_string(Attempts) +
-                                " attempts; last error: " + Last.message());
+  ELIDE_TRY(int Fd, connectDeadline(Host, Port, ConnectMs));
+  FdGuard Guard{Fd};
+  if (Error E = sendFrameDeadline(Fd, Request, Deadline::in(IoMs)))
+    return E;
+  ELIDE_TRY(Bytes Response, recvFrameDeadline(Fd, Deadline::in(IoMs)));
+  // Backpressure is not payload: surface it typed, with the server's
+  // hint, so a failover layer can move on.
+  if (std::optional<uint32_t> After = overloadedRetryAfterMs(Response))
+    return makeTransportError(TransportErrc::Overloaded,
+                              "server shed load; retry-after-ms=" +
+                                  std::to_string(*After));
+  return Response;
 }

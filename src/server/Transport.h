@@ -15,19 +15,18 @@
 ///
 /// The paper observes that a missing server is a denial of service on the
 /// protected application, so the client is built for failure: it bounds
-/// connect/IO time and retries with exponential backoff and deterministic
-/// jitter, surfacing a typed `TransportErrc` when the budget is exhausted.
+/// connect and IO time and surfaces a typed `TransportErrc`. It sends
+/// each request once. Deciding to try again belongs to the one retry
+/// loop, `ElideHost::restore` under a `RestorePolicy` (elide/HostRuntime.h),
+/// because a whole restore is the one unit that is always safe to retry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SGXELIDE_SERVER_TRANSPORT_H
 #define SGXELIDE_SERVER_TRANSPORT_H
 
-#include "crypto/Drbg.h"
 #include "server/AuthServer.h"
 
-#include <atomic>
-#include <mutex>
 #include <optional>
 
 namespace elide {
@@ -83,59 +82,44 @@ private:
 // TcpClientTransport
 //===----------------------------------------------------------------------===//
 
-/// Client-side failure policy: deadlines per operation plus a bounded
-/// retry budget with exponential backoff and deterministic jitter.
+/// Client-side deadlines for the one attempt each roundTrip makes.
 struct TcpClientConfig {
   /// Deadline for establishing the connection.
   int ConnectTimeoutMs = 2000;
   /// Deadline for each frame read/write.
   int IoTimeoutMs = 5000;
-  /// Total connection attempts per roundTrip (1 = no retry).
-  int MaxAttempts = 3;
-  /// First retry delay; doubles each retry up to a 1 s ceiling.
-  int BackoffBaseMs = 25;
-  /// Seed for the jitter source (deterministic for reproducible tests).
+  /// Unused: the client makes one attempt, so it has nothing to jitter
+  /// (the restore loop's jitter is seeded by `RestorePolicy::JitterSeed`).
+  /// It stays only because perfbench/Provisioning.cpp sets it and the
+  /// benchmark's sources change only together with the benchmark; delete
+  /// it then.
   uint64_t JitterSeed = 1;
 };
 
-/// TCP client side: connects per roundTrip (the restorer makes only a
-/// handful of requests, so connection reuse is not worth statefulness --
-/// and the session survives across connections because the server keys
-/// the session id, not the socket; that same property makes retrying a
-/// failed exchange on a fresh connection safe).
+/// TCP client side: one connection, one request frame and one response
+/// frame per roundTrip. The restorer makes only a handful of requests,
+/// so connection reuse is not worth statefulness, and the session
+/// survives across connections because the server keys the session id,
+/// not the socket.
 ///
-/// Backpressure is not retried here: an OVERLOADED answer surfaces at once
-/// as `TransportErrc::Overloaded` with the server's hint in the message
+/// Backpressure surfaces at once: an OVERLOADED answer becomes
+/// `TransportErrc::Overloaded` with the server's hint in the message
 /// (`retryAfterHintOf`), so the failover layer decides where to go next.
 ///
 /// Deadline-aware: a request wrapped in an envelope frame (see
-/// server/Protocol.h) carries its remaining budget through the retry
-/// loop -- connect/IO timeouts and backoff waits are clamped to what is
-/// left, each attempt's envelope is re-stamped with the true remainder,
-/// and a budget that lapses mid-loop surfaces as the terminal
-/// `TransportErrc::DeadlineExceeded` instead of burning attempts a
-/// caller can no longer use.
+/// server/Protocol.h) clamps the connect and IO timeouts to the
+/// envelope's deadline, so no wait outlives the caller's budget.
 class TcpClientTransport : public Transport {
 public:
   TcpClientTransport(std::string Host, uint16_t Port,
                      const TcpClientConfig &Config = TcpClientConfig())
-      : Host(std::move(Host)), Port(Port), Config(Config),
-        Jitter(Config.JitterSeed ^ 0x4a49545445ULL) {}
+      : Host(std::move(Host)), Port(Port), Config(Config) {}
   Expected<Bytes> roundTrip(BytesView Request) override;
 
-  /// Attempts consumed by the most recent roundTrip (tests read this).
-  int lastAttempts() const { return LastAttempts.load(); }
-
 private:
-  Expected<Bytes> attemptOnce(BytesView Request, int ConnectTimeoutMs,
-                              int IoTimeoutMs);
-
   std::string Host;
   uint16_t Port;
   TcpClientConfig Config;
-  std::mutex JitterMutex;
-  Drbg Jitter; ///< Guarded by JitterMutex.
-  std::atomic<int> LastAttempts{0};
 };
 
 } // namespace elide

@@ -148,10 +148,10 @@ private:
 // restorer's status word, the transport's typed error kind, and the
 // supervisor's lifecycle errc -- are defined here, at the bottom of the
 // dependency graph, so that exactly one classification table can see them
-// all. Every consumer of "should I try again?" (the TCP client's retry
-// loop, `ElideHost::restore` under a `RestorePolicy`, the `Provisioner`
-// failover chain, and the `EnclaveSupervisor` recovery loop) routes
-// through `retryabilityOf`.
+// all. Every consumer of "should I try again?" routes through
+// `retryabilityOf`: the one retry loop (`ElideHost::restore` under a
+// `RestorePolicy`, which the `EnclaveSupervisor` also runs for its
+// recoveries) and the observers of the `Provisioner`'s failover walk.
 //
 // The switches below are deliberately `default:`-free: adding a status or
 // an errc without deciding its retryability is a compile-time warning
@@ -196,7 +196,7 @@ enum class TransportErrc : int {
   PeerClosed = 105,       ///< Peer closed mid-frame.
   FrameTooLarge = 106,    ///< Length prefix exceeds the frame cap.
   BadAddress = 107,       ///< Unparseable server address.
-  RetriesExhausted = 108, ///< The whole retry budget failed.
+  // 108 stays unassigned, so a logged code keeps one meaning.
   InjectedFault = 109,    ///< A FaultInjectingTransport ate the exchange.
   Overloaded = 110,       ///< The server shed load (OVERLOADED frame).
   BreakerOpen = 111,      ///< Circuit breaker refused the endpoint.
@@ -240,10 +240,10 @@ constexpr Retryability retryabilityOf(RestoreStatus Status) {
 
 /// The transport-errc row of the table. Timeouts, refused connections,
 /// dropped peers, injected faults, and backpressure verdicts are
-/// retryable; structural failures (bad address, oversized frame), an
-/// already-exhausted retry budget, a lapsed deadline (there is no time
-/// left to spend on another attempt), and an empty chain-wide retry
-/// budget (another attempt is exactly what the budget forbids) are
+/// retryable; structural failures (bad address, oversized frame), a
+/// lapsed deadline (there is no time left to spend on another attempt),
+/// an empty chain-wide retry budget (another attempt is exactly what the
+/// budget forbids), and an untagged failure (no server at all) are
 /// terminal.
 constexpr Retryability retryabilityOf(TransportErrc Errc) {
   switch (Errc) {
@@ -260,7 +260,6 @@ constexpr Retryability retryabilityOf(TransportErrc Errc) {
   case TransportErrc::None:
   case TransportErrc::FrameTooLarge:
   case TransportErrc::BadAddress:
-  case TransportErrc::RetriesExhausted:
   case TransportErrc::DeadlineExceeded:
   case TransportErrc::RetryBudgetExhausted:
     return Retryability::Terminal;

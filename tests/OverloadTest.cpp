@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The overload-resilience suite (`ctest -L overload`): deadline
-/// propagation through the request envelope and the TCP retry loop,
+/// propagation through the request envelope and the restore loop,
 /// criticality-aware admission control and brownout shedding on the
 /// server, the chain-wide retry budget on the provisioning client, the
 /// supervisor marking recovery traffic Sheddable -- and a deterministic
@@ -22,11 +22,13 @@
 #include "elide/Provisioner.h"
 #include "elide/Supervisor.h"
 #include "server/AuthServer.h"
+#include "server/FaultInjection.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/AtomicFile.h"
 #include "support/File.h"
 #include "tests/framework/ChaosSeed.h"
+#include "tests/framework/RestoreRig.h"
 #include "tests/framework/TestNet.h"
 
 #include <gtest/gtest.h>
@@ -37,8 +39,10 @@
 #include <functional>
 
 using namespace elide;
+using elide::testing::AcceptAndClose;
 using elide::testing::ChaosSeedScope;
 using elide::testing::ClosedPort;
+using elide::testing::RestoreRig;
 
 namespace {
 
@@ -251,46 +255,101 @@ TEST(OverloadShedTest, SheddableGoesFirstDefaultNextCriticalLast) {
 // Client-side deadline propagation
 //===----------------------------------------------------------------------===//
 
+/// The restore loop's verdicts, as the host's event callback reports
+/// them.
+struct HostEvents {
+  std::vector<ProvisionEvent> Seen;
+  size_t count(TransportErrc Errc) const {
+    size_t N = 0;
+    for (const ProvisionEvent &E : Seen)
+      N += E.Errc == Errc;
+    return N;
+  }
+};
+
 TEST(OverloadClientDeadlineTest, DeadlineStopsRetriesWithTypedError) {
+  // Fifty attempts are far more than a 120 ms deadline can fund: the
+  // restore loop, which keeps the deadline, must stop for time.
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
   ClosedPort Port;
   ASSERT_TRUE(Port.ok());
-
   TcpClientConfig Config;
-  Config.MaxAttempts = 50; // Far more than the deadline can fund.
   Config.ConnectTimeoutMs = 1000;
-  Config.BackoffBaseMs = 30;
   TcpClientTransport Client("127.0.0.1", Port.port(), Config);
+  FaultInjectingTransport Counted(Client, FaultPlan());
 
-  Bytes Request = envelopeFrame(120, Criticality::Default, garbageHello());
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Counted, Rig->qe());
+  Host.attach(**E);
+  Host.setRequestClass(Criticality::Default, /*DeadlineMs=*/120);
+  HostEvents Events;
+  Host.setEventCallback(
+      [&Events](const ProvisionEvent &Event) { Events.Seen.push_back(Event); });
+
+  RestorePolicy Policy{50, 30};
   auto T0 = std::chrono::steady_clock::now();
-  Expected<Bytes> R = Client.roundTrip(Request);
+  Expected<uint64_t> Status = Host.restore(**E, Policy);
   double ElapsedMs = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - T0)
                          .count();
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_EQ(transportErrcOf(R), TransportErrc::DeadlineExceeded);
-  // The deadline, not the attempt budget, ended the loop -- quickly.
-  EXPECT_LT(Client.lastAttempts(), Config.MaxAttempts);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreServerUnreachable);
+  // The deadline, not the attempt budget, ended the loop -- quickly, and
+  // said so once.
+  EXPECT_GE(Counted.stats().Calls, 1u);
+  EXPECT_LT(Counted.stats().Calls, static_cast<size_t>(Policy.MaxAttempts));
   EXPECT_LT(ElapsedMs, 2000.0);
+  EXPECT_EQ(Events.count(TransportErrc::DeadlineExceeded), 1u);
   // The shared table agrees this is terminal: no caller loops on it.
   EXPECT_FALSE(isRetryableTransportErrc(TransportErrc::DeadlineExceeded));
 }
 
 TEST(OverloadClientDeadlineTest, BareFramesKeepRetryingToExhaustion) {
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
   ClosedPort Port;
   ASSERT_TRUE(Port.ok());
+  TcpClientTransport Client("127.0.0.1", Port.port());
+  FaultInjectingTransport Counted(Client, FaultPlan());
 
-  TcpClientConfig Config;
-  Config.MaxAttempts = 3;
-  Config.ConnectTimeoutMs = 500;
-  Config.BackoffBaseMs = 5;
-  TcpClientTransport Client("127.0.0.1", Port.port(), Config);
+  // No envelope, no deadline: the loop spends its whole budget, one
+  // request per attempt, and reports the last status.
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Counted, Rig->qe());
+  Host.attach(**E);
+  HostEvents Events;
+  Host.setEventCallback(
+      [&Events](const ProvisionEvent &Event) { Events.Seen.push_back(Event); });
+  Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{3});
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreServerUnreachable);
+  EXPECT_EQ(Counted.stats().Calls, 3u);
+  EXPECT_EQ(Events.count(TransportErrc::DeadlineExceeded), 0u);
+}
 
-  // No envelope, no deadline: the legacy path burns its whole budget.
-  Expected<Bytes> R = Client.roundTrip(garbageHello());
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_EQ(transportErrcOf(R), TransportErrc::RetriesExhausted);
-  EXPECT_EQ(Client.lastAttempts(), 3);
+TEST(OverloadClientDeadlineTest, DeadServerCostsOneConnectionPerAttempt) {
+  // One retry owner: a server that dies after accept costs exactly one
+  // connection per restore attempt, through a one-endpoint chain and the
+  // TCP client alike -- neither layer below the loop tries again.
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
+  AcceptAndClose Server;
+  ASSERT_TRUE(Server.ok());
+  TcpClientTransport Client("127.0.0.1", Server.port());
+  Provisioner Chain;
+  Chain.addEndpoint("closing", &Client);
+
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Chain, Rig->qe());
+  Host.attach(**E);
+  Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{3, 0});
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreServerUnreachable);
+  EXPECT_EQ(Server.accepted(), 3);
 }
 
 //===----------------------------------------------------------------------===//

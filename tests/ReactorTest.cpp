@@ -509,10 +509,7 @@ TEST(ReactorSoakTest, SeededFaultsOverRealSocketsStayCoherent) {
       RC);
   ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
-  TcpClientConfig CC;
-  CC.MaxAttempts = 2;
-  CC.BackoffBaseMs = 1;
-  TcpClientTransport Wire("127.0.0.1", (*Tcp)->port(), CC);
+  TcpClientTransport Wire("127.0.0.1", (*Tcp)->port());
   FaultPlan Plan;
   Plan.Seed = Seed.value();
   Plan.FaultPerMille = 150;

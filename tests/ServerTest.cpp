@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/AuthServer.h"
+#include "server/FaultInjection.h"
 #include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/Attestation.h"
+#include "tests/framework/RestoreRig.h"
 #include "tests/framework/TestNet.h"
 
 #include <gtest/gtest.h>
@@ -360,49 +362,45 @@ TEST(TcpTransportTest, FramesSurviveTheWire) {
 
 TEST(TcpTransportTest, ConnectToClosedPortFailsTyped) {
   // A port this process owns (bound, never listened): connecting to it is
-  // refused deterministically even under ctest -j.
+  // refused deterministically even under ctest -j. The client makes one
+  // attempt and surfaces the kind it met.
   elide::testing::ClosedPort Closed;
   ASSERT_TRUE(Closed.ok());
-  TcpClientConfig Config;
-  Config.MaxAttempts = 2;
-  Config.BackoffBaseMs = 1;
-  TcpClientTransport Client("127.0.0.1", Closed.port(), Config);
-  Expected<Bytes> R = Client.roundTrip(Bytes{1});
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_EQ(transportErrcOf(R), TransportErrc::RetriesExhausted);
-  EXPECT_EQ(Client.lastAttempts(), 2);
-
-  // More attempts than a 64-bit backoff has bits: the doubling must stay
-  // capped, with no shift past the type's width.
-  Config.MaxAttempts = 70;
-  Config.BackoffBaseMs = 0;
-  TcpClientTransport Patient("127.0.0.1", Closed.port(), Config);
-  R = Patient.roundTrip(Bytes{1});
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_EQ(transportErrcOf(R), TransportErrc::RetriesExhausted);
-  EXPECT_EQ(Patient.lastAttempts(), 70);
-}
-
-TEST(TcpTransportTest, SingleAttemptSurfacesUnderlyingError) {
-  elide::testing::ClosedPort Closed;
-  ASSERT_TRUE(Closed.ok());
-  TcpClientConfig Config;
-  Config.MaxAttempts = 1;
-  TcpClientTransport Client("127.0.0.1", Closed.port(), Config);
+  TcpClientTransport Client("127.0.0.1", Closed.port());
   Expected<Bytes> R = Client.roundTrip(Bytes{1});
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(transportErrcOf(R), TransportErrc::ConnectFailed);
-  EXPECT_EQ(Client.lastAttempts(), 1);
+}
+
+TEST(TcpTransportTest, SingleAttemptSurfacesUnderlyingError) {
+  // A server that closes every connection it accepts: the client sends
+  // the frame once, on one connection, and hands back the peer's close.
+  elide::testing::AcceptAndClose Server;
+  ASSERT_TRUE(Server.ok());
+  TcpClientTransport Client("127.0.0.1", Server.port());
+  Expected<Bytes> R = Client.roundTrip(Bytes{1});
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_EQ(transportErrcOf(R), TransportErrc::PeerClosed);
+  EXPECT_EQ(Server.accepted(), 1);
 }
 
 TEST(TcpTransportTest, BadAddressIsNotRetried) {
-  TcpClientConfig Config;
-  Config.MaxAttempts = 5;
-  TcpClientTransport Client("definitely-not-a-host.invalid", 9, Config);
-  Expected<Bytes> R = Client.roundTrip(Bytes{1});
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_EQ(transportErrcOf(R), TransportErrc::BadAddress);
-  EXPECT_EQ(Client.lastAttempts(), 1);
+  // The restore loop owns retry, and a bad address is a verdict, not a
+  // transient: under a five-attempt policy the host asks once.
+  auto Rig = elide::testing::RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
+  TcpClientTransport Client("definitely-not-a-host.invalid", 9);
+  FaultInjectingTransport Counted(Client, FaultPlan());
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Counted, Rig->qe());
+  Host.attach(**E);
+  Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{5});
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreServerUnreachable);
+  EXPECT_EQ(Counted.stats().Calls, 1u);
+  EXPECT_EQ(transportErrcOf(Client.roundTrip(Bytes{1})),
+            TransportErrc::BadAddress);
 }
 
 } // namespace

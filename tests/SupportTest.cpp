@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "crypto/Drbg.h"
 #include "support/AtomicFile.h"
+#include "support/Backoff.h"
 #include "support/Bytes.h"
 #include "support/Error.h"
 #include "support/File.h"
@@ -12,6 +14,9 @@
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
 
 using namespace elide;
 
@@ -58,6 +63,65 @@ TEST(ExpectedTest, TryMacroPropagates) {
   EXPECT_FALSE(static_cast<bool>(quarter(7)));
 }
 
+/// Draws no jitter, so a test reads the capped doubling alone.
+struct NoJitter {
+  uint64_t nextBelow(uint64_t /*Bound*/) { return 0; }
+};
+
+/// Always draws the largest jitter, so an upper bound holds for any seed.
+struct MaxJitter {
+  uint64_t nextBelow(uint64_t Bound) { return Bound - 1; }
+};
+
+TEST(BackoffTest, DoublesFromTheBaseUpToTheCap) {
+  NoJitter Zero;
+  EXPECT_EQ(jitteredBackoffMs(25, 1, 1000, Zero), 25);
+  EXPECT_EQ(jitteredBackoffMs(25, 2, 1000, Zero), 50);
+  EXPECT_EQ(jitteredBackoffMs(25, 3, 1000, Zero), 100);
+  EXPECT_EQ(jitteredBackoffMs(25, 6, 1000, Zero), 800);
+  EXPECT_EQ(jitteredBackoffMs(25, 7, 1000, Zero), 1000);
+  // A step below 1 waits the base; a base above the cap is kept.
+  EXPECT_EQ(jitteredBackoffMs(25, 0, 1000, Zero), 25);
+  EXPECT_EQ(jitteredBackoffMs(3000, 4, 2000, Zero), 3000);
+}
+
+TEST(BackoffTest, JitterAddsAtMostHalfTheWait) {
+  MaxJitter Max;
+  EXPECT_EQ(jitteredBackoffMs(100, 1, 2000, Max), 150);
+  EXPECT_EQ(jitteredBackoffMs(1, 1, 1000, Max), 1);
+  // A base of 0 waits 0, however many steps.
+  EXPECT_EQ(jitteredBackoffMs(0, 5, 1000, Max), 0);
+  EXPECT_EQ(jitteredBackoffMs(-5, 5, 1000, Max), 0);
+
+  Drbg Rng(7);
+  long long Lowest = 1000, Highest = 0;
+  for (int I = 0; I < 500; ++I) {
+    long long Wait = jitteredBackoffMs(60, 1, 60, Rng);
+    Lowest = std::min(Lowest, Wait);
+    Highest = std::max(Highest, Wait);
+  }
+  EXPECT_GE(Lowest, 60);
+  EXPECT_LE(Highest, 90);
+  EXPECT_LT(Lowest, Highest) << "the seeded jitter never varied";
+}
+
+TEST(BackoffTest, CappedAtStepSeventy) {
+  // More steps than a 64-bit wait has bits: the doubling stays capped,
+  // and no arithmetic overflows on the way.
+  MaxJitter Max;
+  for (long long Base : {0LL, 1LL, 25LL})
+    EXPECT_LE(jitteredBackoffMs(Base, 70, 1000, Max), 1500) << "base " << Base;
+  EXPECT_EQ(jitteredBackoffMs(1, 70, 1000, Max), 1500);
+  EXPECT_EQ(jitteredBackoffMs(25, 70, 1000, Max), 1500);
+
+  long long Huge = std::numeric_limits<long long>::max();
+  EXPECT_GT(jitteredBackoffMs(Huge, std::numeric_limits<int>::max(), Huge,
+                              Max),
+            0);
+  EXPECT_EQ(jitteredBackoffMs(1, std::numeric_limits<int>::max(), 1000, Max),
+            1500);
+}
+
 TEST(RetryabilityTest, EveryCodeOfEveryEnumClassifies) {
   // The shared table must cover every enumerator of all three failure
   // vocabularies with an explicit verdict. The switches are default-free
@@ -76,7 +140,6 @@ TEST(RetryabilityTest, EveryCodeOfEveryEnumClassifies) {
       {TransportErrc::PeerClosed, Retryability::Retryable},
       {TransportErrc::FrameTooLarge, Retryability::Terminal},
       {TransportErrc::BadAddress, Retryability::Terminal},
-      {TransportErrc::RetriesExhausted, Retryability::Terminal},
       {TransportErrc::InjectedFault, Retryability::Retryable},
       {TransportErrc::Overloaded, Retryability::Retryable},
       {TransportErrc::BreakerOpen, Retryability::Retryable},
@@ -85,10 +148,10 @@ TEST(RetryabilityTest, EveryCodeOfEveryEnumClassifies) {
       {TransportErrc::RetryBudgetExhausted, Retryability::Terminal},
   };
   // The table enumerates the full errc range: 101 .. TransportErrcLast
-  // plus None. A row count mismatch means someone added a code without a
-  // row here.
+  // less the unused 108, plus None. A row count mismatch means someone
+  // added a code without a row here.
   EXPECT_EQ(sizeof(TransportRows) / sizeof(TransportRows[0]),
-            static_cast<size_t>(TransportErrcLast) - 101 + 2);
+            static_cast<size_t>(TransportErrcLast) - 101 + 1);
   for (const TransportRow &Row : TransportRows) {
     EXPECT_EQ(retryabilityOf(Row.Errc), Row.Want)
         << "TransportErrc " << static_cast<int>(Row.Errc);

@@ -21,6 +21,7 @@
 #include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveLoader.h"
+#include "tests/framework/ChaosSeed.h"
 
 #include <gtest/gtest.h>
 
@@ -320,6 +321,141 @@ TEST(FaultRecoveryTest, RateModeSoakEventuallyRestores) {
   expectRestored(**E);
 }
 
+TEST(FaultRecoveryTest, LossyPlanConvergesOnEveryRestore) {
+  // bench/ablation_transport's lossy channel: one call in five is
+  // dropped, stalled, cut short or loses its answer. Under the bench's
+  // 16-attempt policy every restore converges -- those whose HELLO-OK
+  // arrives truncated included, since a garbled answer is a transient,
+  // not a rejected attestation.
+  elide::testing::ChaosSeedScope Seed("lossy-plan", 3);
+  auto S = makeScenario();
+  ASSERT_NE(S, nullptr);
+  FaultPlan Plan;
+  Plan.Seed = Seed.value();
+  Plan.FaultPerMille = 200;
+  Plan.RateKinds = {FaultKind::Drop, FaultKind::Delay, FaultKind::Truncate,
+                    FaultKind::DisconnectMidFrame};
+  Plan.DelayMs = 1;
+  FaultInjectingTransport Faulty(*S->Link, Plan);
+
+  for (int Run = 0; Run < 40; ++Run) {
+    Expected<std::unique_ptr<sgx::Enclave>> E =
+        sgx::loadEnclave(*S->Device, S->Artifacts.SanitizedElf,
+                         S->Artifacts.SanitizedSig, S->Options.Layout);
+    ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+    ElideHost Host(&Faulty, S->Qe.get());
+    Host.attach(**E);
+    Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{16, 1});
+    ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(*Status, 0u) << "restore " << Run << ": "
+                           << restoreStatusName(*Status);
+  }
+  EXPECT_GT(Faulty.stats().Truncated, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The HELLO verdict: only the server's word on the quote is terminal
+//===----------------------------------------------------------------------===//
+
+/// Hands every frame to the server as if it had waited \p QueueDelayMs in
+/// the reactor's queue, so an enveloped request whose deadline the queue
+/// ate is refused for time.
+struct QueuedLink : Transport {
+  AuthServer &Server;
+  double QueueDelayMs;
+  QueuedLink(AuthServer &Server, double QueueDelayMs)
+      : Server(Server), QueueDelayMs(QueueDelayMs) {}
+  Expected<Bytes> roundTrip(BytesView Request) override {
+    FrameContext Ctx;
+    Ctx.QueueDelayMs = QueueDelayMs;
+    return Server.handle(Request, Ctx);
+  }
+};
+
+TEST(HelloVerdictTest, HelloRefusedForTimeIsRetryable) {
+  auto S = makeScenario();
+  ASSERT_NE(S, nullptr);
+  QueuedLink Late(*S->Server, /*QueueDelayMs=*/100);
+  Expected<std::unique_ptr<sgx::Enclave>> E =
+      sgx::loadEnclave(*S->Device, S->Artifacts.SanitizedElf,
+                       S->Artifacts.SanitizedSig, S->Options.Layout);
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Late, S->Qe.get());
+  Host.attach(**E);
+  Host.setRequestClass(Criticality::Default, /*DeadlineMs=*/50);
+
+  Expected<uint64_t> First = Host.restore(**E);
+  ASSERT_TRUE(static_cast<bool>(First)) << First.errorMessage();
+  EXPECT_EQ(*First, RestoreServerUnreachable)
+      << restoreStatusName(*First);
+  EXPECT_TRUE(isRetryableRestoreStatus(*First));
+  EXPECT_EQ(S->Server->stats().DeadlineExpired, 1u);
+  EXPECT_EQ(S->Server->stats().HandshakesRejected, 0u);
+  expectSanitized(**E);
+
+  // Once the queue drains, the same host restores.
+  Late.QueueDelayMs = 0;
+  Expected<uint64_t> Second = Host.restore(**E);
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.errorMessage();
+  EXPECT_EQ(*Second, 0u);
+  expectRestored(**E);
+}
+
+TEST(HelloVerdictTest, TruncatedHelloOkIsUnreachable) {
+  auto S = makeScenario();
+  ASSERT_NE(S, nullptr);
+  // Each seed cuts the HELLO-OK at a different length.
+  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+    FaultPlan Plan;
+    Plan.Seed = Seed;
+    Plan.Script = {FaultKind::Truncate};
+    FaultInjectingTransport Faulty(*S->Link, Plan);
+    Expected<std::unique_ptr<sgx::Enclave>> E =
+        sgx::loadEnclave(*S->Device, S->Artifacts.SanitizedElf,
+                         S->Artifacts.SanitizedSig, S->Options.Layout);
+    ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+    ElideHost Host(&Faulty, S->Qe.get());
+    Host.attach(**E);
+    Expected<uint64_t> Status = Host.restore(**E);
+    ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(*Status, RestoreServerUnreachable)
+        << "seed " << Seed << ": " << restoreStatusName(*Status);
+    EXPECT_EQ(Faulty.stats().Truncated, 1u);
+    expectSanitized(**E);
+  }
+}
+
+TEST(HelloVerdictTest, WrongMrEnclaveIsStillRejected) {
+  // A server pinned to another enclave answers the HELLO with an ERROR:
+  // that is a verdict, so the restore loop stops after one attempt.
+  auto S = makeScenario();
+  ASSERT_NE(S, nullptr);
+  ServerProvisioning P = provisioningFor(S->Artifacts, S->Options);
+  AuthServerConfig Config;
+  Config.AuthorityKey = S->Authority->publicKey();
+  Config.ExpectedMrEnclave = P.SanitizedMrEnclave;
+  Config.ExpectedMrEnclave[0] ^= 1;
+  Config.ExpectedMrSigner = P.MrSigner;
+  Config.Meta = S->Artifacts.Meta;
+  Config.SecretData = S->Artifacts.SecretData;
+  AuthServer Strict(std::move(Config));
+  LoopbackTransport Link(Strict);
+  FaultInjectingTransport Counted(Link, FaultPlan());
+
+  Expected<std::unique_ptr<sgx::Enclave>> E =
+      sgx::loadEnclave(*S->Device, S->Artifacts.SanitizedElf,
+                       S->Artifacts.SanitizedSig, S->Options.Layout);
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Counted, S->Qe.get());
+  Host.attach(**E);
+  Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{5, 0});
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreRejected) << restoreStatusName(*Status);
+  EXPECT_EQ(Counted.stats().Calls, 1u);
+  EXPECT_EQ(Strict.stats().HandshakesRejected, 1u);
+  expectSanitized(**E);
+}
+
 //===----------------------------------------------------------------------===//
 // Short reads/writes on frame boundaries (satellite c)
 //===----------------------------------------------------------------------===//
@@ -428,9 +564,7 @@ TEST(FrameSplitTest, ClientReassemblesByteByByteResponses) {
     ::close(Client);
   });
 
-  TcpClientConfig Config;
-  Config.MaxAttempts = 1;
-  TcpClientTransport Client("127.0.0.1", Port, Config);
+  TcpClientTransport Client("127.0.0.1", Port);
   Expected<Bytes> R = Client.roundTrip(Bytes{0x42});
   Server.join();
   ::close(Listen);
@@ -439,61 +573,22 @@ TEST(FrameSplitTest, ClientReassemblesByteByByteResponses) {
 }
 
 TEST(FrameSplitTest, OverloadedSurfacesTypedWithoutRetryOptIn) {
-  // A shed answer surfaces immediately as the typed Overloaded error
-  // carrying the hint, even with retries left -- the failover chain, not
-  // this endpoint, decides what to do with the wait.
-  int Listen = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(Listen, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = 0;
-  ASSERT_EQ(::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
-            0);
-  ASSERT_EQ(::listen(Listen, 1), 0);
-  socklen_t AddrLen = sizeof(Addr);
-  ASSERT_EQ(::getsockname(Listen, reinterpret_cast<sockaddr *>(&Addr),
-                          &AddrLen),
-            0);
+  // A shed answer surfaces at once as the typed Overloaded error carrying
+  // the hint, on the one connection the client made -- the failover
+  // chain, not this endpoint, decides what to do with the wait.
+  Expected<std::unique_ptr<ReactorServer>> Tcp =
+      ReactorServer::start([](BytesView) { return overloadedFrame(250); });
+  ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
 
-  std::thread Server([Listen] {
-    int Client = ::accept(Listen, nullptr, nullptr);
-    ASSERT_GE(Client, 0);
-    uint8_t LenBytes[4];
-    size_t Got = 0;
-    while (Got < 4) {
-      ssize_t N = ::recv(Client, LenBytes + Got, 4 - Got, 0);
-      ASSERT_GT(N, 0);
-      Got += static_cast<size_t>(N);
-    }
-    uint32_t ReqLen = readLE32(LenBytes);
-    Bytes Request(ReqLen);
-    Got = 0;
-    while (Got < ReqLen) {
-      ssize_t N = ::recv(Client, Request.data() + Got, ReqLen - Got, 0);
-      ASSERT_GT(N, 0);
-      Got += static_cast<size_t>(N);
-    }
-    Bytes Frame = overloadedFrame(250);
-    uint8_t RespLen[4];
-    writeLE32(RespLen, static_cast<uint32_t>(Frame.size()));
-    (void)::send(Client, RespLen, 4, MSG_NOSIGNAL);
-    (void)::send(Client, Frame.data(), Frame.size(), MSG_NOSIGNAL);
-    ::close(Client);
-  });
-
-  TcpClientConfig Config;
-  Config.MaxAttempts = 3;
-  TcpClientTransport Client("127.0.0.1", ntohs(Addr.sin_port), Config);
+  TcpClientTransport Client("127.0.0.1", (*Tcp)->port());
   Expected<Bytes> R = Client.roundTrip(Bytes{0x42});
-  Server.join();
-  ::close(Listen);
+  (*Tcp)->stop();
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(transportErrcOf(R), TransportErrc::Overloaded);
   std::optional<uint32_t> Hint = retryAfterHintOf(R.errorMessage());
   ASSERT_TRUE(Hint.has_value());
   EXPECT_EQ(*Hint, 250u);
-  EXPECT_EQ(Client.lastAttempts(), 1);
+  EXPECT_EQ((*Tcp)->stats().ConnectionsAccepted, 1u);
 }
 
 TEST(FrameSplitTest, TruncatedLengthPrefixTimesOutTyped) {
@@ -526,7 +621,6 @@ TEST(FrameSplitTest, TruncatedLengthPrefixTimesOutTyped) {
   });
 
   TcpClientConfig Config;
-  Config.MaxAttempts = 1;
   Config.IoTimeoutMs = 150;
   TcpClientTransport Client("127.0.0.1", ntohs(Addr.sin_port), Config);
   Expected<Bytes> R = Client.roundTrip(Bytes{0x42});

@@ -105,10 +105,11 @@ struct Fleet {
 };
 
 /// One user machine: runs \p Rounds full launch+restore cycles over \p
-/// Client, each with a fresh enclave and host (so every round pays the
-/// whole handshake, never the sealing fast path).
+/// Client under \p Policy, each with a fresh enclave and host (so every
+/// round pays the whole handshake, never the sealing fast path).
 void runMachine(const Fleet &F, Transport &Client, uint64_t MachineId,
-                int Rounds, std::atomic<size_t> &Failures) {
+                int Rounds, std::atomic<size_t> &Failures,
+                const RestorePolicy &Policy = RestorePolicy()) {
   // Distinct device seed per machine; the same authority seed everywhere
   // so the fleet's quotes verify against the server's pinned key.
   sgx::SgxDevice Device(10000 + MachineId);
@@ -126,7 +127,7 @@ void runMachine(const Fleet &F, Transport &Client, uint64_t MachineId,
     }
     ElideHost Host(&Client, &Qe);
     Host.attach(**E);
-    Expected<uint64_t> Status = Host.restore(**E);
+    Expected<uint64_t> Status = Host.restore(**E, Policy);
     if (!Status || *Status != 0) {
       ADD_FAILURE() << "machine " << MachineId << " round " << Round
                     << ": restore failed: "
@@ -171,17 +172,18 @@ TEST(TransportStressTest, SixteenMachinesRestoreConcurrentlyOverTcp) {
   std::atomic<size_t> Failures{0};
   std::vector<std::unique_ptr<TcpClientTransport>> Clients;
   std::vector<std::thread> Threads;
-  for (int I = 0; I < Machines; ++I) {
-    TcpClientConfig ClientConfig;
-    ClientConfig.MaxAttempts = 3;
-    ClientConfig.JitterSeed = Seed.derived(static_cast<uint64_t>(I));
-    Clients.push_back(std::make_unique<TcpClientTransport>(
-        "127.0.0.1", (*Tcp)->port(), ClientConfig));
-  }
   for (int I = 0; I < Machines; ++I)
-    Threads.emplace_back([&, I] {
-      runMachine(*F, *Clients[I], static_cast<uint64_t>(I), Rounds, Failures);
+    Clients.push_back(
+        std::make_unique<TcpClientTransport>("127.0.0.1", (*Tcp)->port()));
+  for (int I = 0; I < Machines; ++I) {
+    // The restore loop retries; each machine jitters its waits apart.
+    RestorePolicy Policy{3};
+    Policy.JitterSeed = Seed.derived(static_cast<uint64_t>(I));
+    Threads.emplace_back([&, I, Policy] {
+      runMachine(*F, *Clients[I], static_cast<uint64_t>(I), Rounds, Failures,
+                 Policy);
     });
+  }
   for (std::thread &T : Threads)
     T.join();
 
@@ -196,12 +198,14 @@ TEST(TransportStressTest, SixteenMachinesRestoreConcurrentlyOverTcp) {
   EXPECT_EQ(Stats.DataRequests, Total);
   EXPECT_EQ(Stats.LiveSessions, Total);
 
+  // The reactor counts a frame after its last byte left, which can be
+  // after the client read it: stop (joining the reactor) before reading.
+  (*Tcp)->stop();
   ReactorStats Net = (*Tcp)->stats();
   EXPECT_GE(Net.ConnectionsAccepted, Total);
   EXPECT_GE(Net.FramesServed, Total * 3);
   EXPECT_EQ(Net.ReadTimeouts, 0u);
   EXPECT_EQ(Net.WriteTimeouts, 0u);
-  (*Tcp)->stop();
 }
 
 TEST(TransportStressTest, ConcurrentLoopbackSessionsStaySeparate) {
@@ -243,9 +247,7 @@ TEST(TransportStressTest, StopDrainsWithClientsMidSession) {
   std::vector<std::thread> Threads;
   for (int I = 0; I < 4; ++I)
     Threads.emplace_back([&] {
-      TcpClientConfig Config;
-      Config.MaxAttempts = 1;
-      TcpClientTransport Client("127.0.0.1", Port, Config);
+      TcpClientTransport Client("127.0.0.1", Port);
       while (!Quit.load())
         (void)Client.roundTrip(Bytes{0x99}); // Garbage; server answers ERROR.
     });
@@ -265,9 +267,7 @@ TEST(TransportStressTest, StopDrainsWithClientsMidSession) {
   int Parked = elide::testing::tryBindPort(Port);
   if (Parked < 0)
     GTEST_SKIP() << "freed port already re-bound by another process";
-  TcpClientConfig Config;
-  Config.MaxAttempts = 1;
-  TcpClientTransport After("127.0.0.1", Port, Config);
+  TcpClientTransport After("127.0.0.1", Port);
   Expected<Bytes> R = After.roundTrip(Bytes{1});
   ::close(Parked);
   ASSERT_FALSE(static_cast<bool>(R));

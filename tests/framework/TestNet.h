@@ -8,7 +8,8 @@
 /// Helpers that keep socket tests deterministic under `ctest -j`:
 /// hard-coded port numbers race with whatever else the machine (or a
 /// parallel test) is doing, so every "unreachable port" in a test must be
-/// a port this process *owns*.
+/// a port this process *owns*. The same goes for a server that fails on
+/// purpose (`AcceptAndClose`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +17,12 @@
 #define SGXELIDE_TESTS_FRAMEWORK_TESTNET_H
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <cstdint>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
 
 namespace elide {
@@ -83,6 +87,64 @@ inline int tryBindPort(uint16_t Port) {
   }
   return Fd;
 }
+
+/// A loopback server that accepts every connection and closes it at
+/// once: what a client meets when a server dies right after accept(2).
+/// Counts the connections it took, so a test can see how many times a
+/// client came back.
+class AcceptAndClose {
+public:
+  AcceptAndClose() {
+    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (Fd < 0)
+      return;
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t Len = sizeof(Addr);
+    if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
+        ::listen(Fd, 16) < 0 ||
+        ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Addr), &Len) < 0) {
+      ::close(Fd);
+      Fd = -1;
+      return;
+    }
+    BoundPort = ntohs(Addr.sin_port);
+    Acceptor = std::thread([this] {
+      while (!Stop.load()) {
+        pollfd P{Fd, POLLIN, 0};
+        if (::poll(&P, 1, 10) <= 0)
+          continue;
+        int Client = ::accept(Fd, nullptr, nullptr);
+        if (Client < 0)
+          continue;
+        Accepted.fetch_add(1); // Counted before the client can see EOF.
+        ::close(Client);
+      }
+    });
+  }
+  ~AcceptAndClose() {
+    Stop.store(true);
+    if (Acceptor.joinable())
+      Acceptor.join();
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+  AcceptAndClose(const AcceptAndClose &) = delete;
+  AcceptAndClose &operator=(const AcceptAndClose &) = delete;
+
+  bool ok() const { return Fd >= 0 && BoundPort != 0; }
+  uint16_t port() const { return BoundPort; }
+  /// Connections accepted (and closed) so far.
+  int accepted() const { return Accepted.load(); }
+
+private:
+  int Fd = -1;
+  uint16_t BoundPort = 0;
+  std::atomic<bool> Stop{false};
+  std::atomic<int> Accepted{0};
+  std::thread Acceptor;
+};
 
 } // namespace testing
 } // namespace elide

@@ -76,8 +76,7 @@ int usage() {
       "[--retries N] [--retry-backoff-ms N]\n"
       "            [--endpoint host:port]... [--breaker-failures N] "
       "[--breaker-cooldown-ms N]\n"
-      "            [--sealed-cache f] [--restore-attempts N] "
-      "[--restore-backoff-ms N] [--trace-provision]\n"
+      "            [--sealed-cache f] [--trace-provision]\n"
       "            [--deadline-ms N] [--criticality "
       "critical|default|sheddable] [--retry-budget N]\n"
       "            [--svm-backend switch|threaded] [--supervise] "
@@ -116,9 +115,10 @@ int usage() {
 }
 
 /// Maps the restore outcome onto the exit-code table printed by usage().
-/// \p Exhaustion is the chain verdict of the last FailoverExhausted
-/// provision event (None when the chain never exhausted), which splits
-/// the server-unreachable case into its backpressure / breaker flavors.
+/// \p Exhaustion is the verdict the run's provision-event observer kept
+/// (None when neither the chain nor the restore loop gave up), which
+/// splits the server-unreachable case into its backpressure, breaker and
+/// deadline/budget flavors.
 int exitCodeForRestore(uint64_t Status, TransportErrc Exhaustion) {
   switch (Status) {
   case RestoreOk:
@@ -624,11 +624,12 @@ int cmdRun(std::vector<std::string> Args) {
       Args, "--connect-timeout-ms", std::to_string(NetConfig.ConnectTimeoutMs)));
   NetConfig.IoTimeoutMs = std::stoi(flagValue(
       Args, "--io-timeout-ms", std::to_string(NetConfig.IoTimeoutMs)));
-  NetConfig.MaxAttempts = std::stoi(flagValue(
-      Args, "--retries", std::to_string(NetConfig.MaxAttempts)));
-  NetConfig.BackoffBaseMs = std::stoi(flagValue(
-      Args, "--retry-backoff-ms", std::to_string(NetConfig.BackoffBaseMs)));
-  NetConfig.JitterSeed = DeviceSeed; // Distinct machines spread their retries.
+  // The restore loop is the one retry owner: a dead server costs one
+  // connection per attempt.
+  RestorePolicy Policy;
+  Policy.MaxAttempts = std::stoi(flagValue(Args, "--retries", "3"));
+  Policy.RetryDelayMs = std::stoi(flagValue(Args, "--retry-backoff-ms", "25"));
+  Policy.JitterSeed = DeviceSeed; // Distinct machines spread their retries.
   std::vector<std::string> ExtraEndpoints = flagValues(Args, "--endpoint");
   ProvisionerConfig ProvConfig;
   ProvConfig.Breaker.FailureThreshold = std::stoi(
@@ -654,11 +655,6 @@ int cmdRun(std::vector<std::string> Args) {
     return fail("--criticality expects critical|default|sheddable, got '" +
                 ClassName + "'");
   std::string SealedCache = flagValue(Args, "--sealed-cache", "");
-  RestorePolicy Policy;
-  Policy.MaxAttempts =
-      std::stoi(flagValue(Args, "--restore-attempts", "1"));
-  Policy.RetryDelayMs = std::stoi(flagValue(
-      Args, "--restore-backoff-ms", std::to_string(Policy.RetryDelayMs)));
   bool TraceProvision = hasFlag(Args, "--trace-provision");
   std::string BackendName = flagValue(Args, "--svm-backend", "");
   bool Supervise = hasFlag(Args, "--supervise");
@@ -717,34 +713,29 @@ int cmdRun(std::vector<std::string> Args) {
                                            Spec.substr(Colon + 1))));
   }
 
-  // The exit-code table splits server-unreachable by the chain's last
-  // verdict; remember it as events stream past.
+  // One observer for the chain and the host: it prints the trace and
+  // keeps the verdict that splits server-unreachable into exits 13, 18,
+  // 19 and 21. A deadline or budget verdict (a walk's failure, the
+  // host's stop for time) is the most precise, so a later chain verdict
+  // must not mask it.
   TransportErrc LastExhaustion = TransportErrc::None;
-  Chain.setEventCallback([&](const ProvisionEvent &Event) {
-    // The chain's AllEndpointsFailed verdict must not mask the more
-    // precise deadline/budget codes recorded from the walk's failures.
-    if (Event.Kind == ProvisionEventKind::FailoverExhausted &&
-        LastExhaustion != TransportErrc::DeadlineExceeded &&
-        LastExhaustion != TransportErrc::RetryBudgetExhausted)
+  auto Observe = [&](const ProvisionEvent &Event) {
+    if (Event.Errc == TransportErrc::DeadlineExceeded ||
+        Event.Errc == TransportErrc::RetryBudgetExhausted)
       LastExhaustion = Event.Errc;
-    if (Event.Kind == ProvisionEventKind::RetryBudgetExhausted)
-      LastExhaustion = TransportErrc::RetryBudgetExhausted;
-    if (Event.Kind == ProvisionEventKind::EndpointFailure &&
-        Event.Errc == TransportErrc::DeadlineExceeded)
-      LastExhaustion = TransportErrc::DeadlineExceeded;
+    else if (Event.Kind == ProvisionEventKind::FailoverExhausted &&
+             LastExhaustion != TransportErrc::DeadlineExceeded &&
+             LastExhaustion != TransportErrc::RetryBudgetExhausted)
+      LastExhaustion = Event.Errc;
     if (TraceProvision)
       std::fprintf(stderr, "provision: %-19s %s%s%s\n",
                    provisionEventKindName(Event.Kind), Event.Endpoint.c_str(),
                    Event.Detail.empty() ? "" : " -- ", Event.Detail.c_str());
-  });
+  };
+  Chain.setEventCallback(Observe);
 
   ElideHost Host(&Chain, &Qe);
-  Host.setEventCallback([&](const ProvisionEvent &Event) {
-    if (TraceProvision)
-      std::fprintf(stderr, "provision: %-19s %s%s%s\n",
-                   provisionEventKindName(Event.Kind), Event.Endpoint.c_str(),
-                   Event.Detail.empty() ? "" : " -- ", Event.Detail.c_str());
-  });
+  Host.setEventCallback(Observe);
   if (!SealedCache.empty())
     Host.setSealedPath(SealedCache);
   if (DeadlineMs != 0 || RequestClass != Criticality::Default)
