@@ -38,9 +38,6 @@ struct AppSpec {
   /// Games run indefinitely in the paper and are excluded from the
   /// overhead figures (they do appear in Tables 1 and 2).
   bool IsGame = false;
-  /// How many times Figures 3/4 repeat the suite per "program run", so
-  /// the workload dominates like the paper's multi-second runs did.
-  int FigureScale = 10;
   /// Lines of Elc in the trusted component (Table 1's "LOC w/ SGX, TC").
   size_t trustedLoc() const;
 };

@@ -104,8 +104,5 @@ AppSpec apps::makeCrackmeApp() {
   Spec.TrustedSources = {{"crackme.elc", Source}};
   Spec.RunWorkload = crackmeWorkload;
   Spec.IsGame = false;
-  // The crackme suite is tiny; repeat it so the figure measures steady
-  // state rather than the fixed restoration cost.
-  Spec.FigureScale = 3000;
   return Spec;
 }

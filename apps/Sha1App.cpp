@@ -200,6 +200,5 @@ AppSpec apps::makeSha1App() {
   Spec.TrustedSources = {{"sha1.elc", Sha1Algorithm}};
   Spec.RunWorkload = sha1Workload;
   Spec.IsGame = false;
-  Spec.FigureScale = 10;
   return Spec;
 }

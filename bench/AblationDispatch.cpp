@@ -13,20 +13,20 @@
 /// any output difference is a bug (see `ctest -L vmdiff`), and the only
 /// legitimate delta is this one: throughput.
 ///
-/// Writes BENCH_dispatch.json (override with --out); --smoke runs one
-/// reduced-rep pass per cell for CI.
+/// Writes BENCH_dispatch.json in the shared bench shape (bench/Report.h;
+/// override the path with --out); --smoke runs one reduced-rep pass per
+/// cell for CI.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "bench/Report.h"
 #include "support/Stats.h"
 #include "vm/ExecBackend.h"
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 using namespace elide;
 using namespace elide::bench;
@@ -34,16 +34,9 @@ using namespace elide::bench;
 namespace {
 
 struct Cell {
-  VmBackendKind Backend;
   uint64_t Instructions = 0; ///< Architectural (pre-fusion) retired count.
   double Seconds = 0;
   double Ips = 0;
-};
-
-struct AppRow {
-  std::string App;
-  std::vector<Cell> Cells;
-  double Speedup = 0; ///< Threaded over switch, instructions/sec.
 };
 
 /// Runs one app's workload suite \p Reps times on \p Kind and returns the
@@ -52,8 +45,6 @@ struct AppRow {
 /// is selling.
 Cell measureCell(BenchScenario &S, VmBackendKind Kind, int Reps) {
   Cell C;
-  C.Backend = Kind;
-
   BenchScenario::Launch L = S.launchPlain();
   L.E->setVmBackend(Kind);
 
@@ -77,46 +68,6 @@ Cell measureCell(BenchScenario &S, VmBackendKind Kind, int Reps) {
   C.Instructions = L.E->instructionsRetired() - Before;
   C.Ips = C.Seconds > 0 ? static_cast<double>(C.Instructions) / C.Seconds : 0;
   return C;
-}
-
-std::string renderJson(const std::vector<AppRow> &Rows, double Geomean,
-                       bool Smoke) {
-  std::string Json;
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\n"
-                "  \"bench\": \"ablation_dispatch\",\n"
-                "  \"version\": 1,\n"
-                "  \"smoke\": %s,\n"
-                "  \"apps\": [\n",
-                Smoke ? "true" : "false");
-  Json += Buf;
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const AppRow &R = Rows[I];
-    std::snprintf(Buf, sizeof(Buf), "    {\"app\": \"%s\", \"kernels\": [",
-                  R.App.c_str());
-    Json += Buf;
-    for (size_t K = 0; K < R.Cells.size(); ++K) {
-      const Cell &C = R.Cells[K];
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s{\"backend\": \"%s\", \"instructions\": %llu, "
-                    "\"seconds\": %.4f, \"ips\": %.0f}",
-                    K ? ", " : "", vmBackendKindName(C.Backend),
-                    static_cast<unsigned long long>(C.Instructions), C.Seconds,
-                    C.Ips);
-      Json += Buf;
-    }
-    std::snprintf(Buf, sizeof(Buf), "], \"speedup\": %.3f}%s\n", R.Speedup,
-                  I + 1 < Rows.size() ? "," : "");
-    Json += Buf;
-  }
-  std::snprintf(Buf, sizeof(Buf),
-                "  ],\n"
-                "  \"geomean_speedup\": %.3f\n"
-                "}\n",
-                Geomean);
-  Json += Buf;
-  return Json;
 }
 
 } // namespace
@@ -149,34 +100,40 @@ int main(int argc, char **argv) {
               "---------------------------------------------------------------"
               "-----------");
 
-  std::vector<AppRow> Rows;
+  Report Json("ablation_dispatch");
+  Json.add("config.reps", Reps, "rep");
   double LogSum = 0;
+  size_t Apps = 0;
   for (const apps::AppSpec &App : apps::allApps()) {
     if (App.IsGame)
       continue; // Same exclusion as Figures 3/4.
     BenchScenario &S = scenarioFor(App.Name, SecretStorage::Local);
 
-    AppRow Row;
-    Row.App = App.Name;
-    for (VmBackendKind Kind : allVmBackendKinds())
-      Row.Cells.push_back(measureCell(S, Kind, Reps));
-
     double SwitchIps = 0, ThreadedIps = 0;
-    for (const Cell &C : Row.Cells) {
-      if (C.Backend == VmBackendKind::Switch)
+    uint64_t Instructions = 0;
+    for (VmBackendKind Kind : allVmBackendKinds()) {
+      Cell C = measureCell(S, Kind, Reps);
+      std::string Prefix = App.Name + "." + vmBackendKindName(Kind);
+      Json.add(Prefix + ".instructions", C.Instructions, "instr");
+      Json.add(Prefix + ".seconds", C.Seconds, "s");
+      Json.add(Prefix + ".ips", C.Ips, "instr/s");
+      if (Kind == VmBackendKind::Switch)
         SwitchIps = C.Ips;
-      if (C.Backend == VmBackendKind::Threaded)
+      if (Kind == VmBackendKind::Threaded)
         ThreadedIps = C.Ips;
+      Instructions = C.Instructions;
     }
-    Row.Speedup = SwitchIps > 0 ? ThreadedIps / SwitchIps : 0;
-    LogSum += std::log(Row.Speedup > 0 ? Row.Speedup : 1.0);
+    double Speedup = SwitchIps > 0 ? ThreadedIps / SwitchIps : 0;
+    Json.add(App.Name + ".speedup", Speedup, "x");
+    LogSum += std::log(Speedup > 0 ? Speedup : 1.0);
+    ++Apps;
 
-    std::printf("%-9s %14llu %16.2f %16.2f %8.2fx\n", Row.App.c_str(),
-                static_cast<unsigned long long>(Row.Cells[0].Instructions),
-                SwitchIps / 1e6, ThreadedIps / 1e6, Row.Speedup);
-    Rows.push_back(std::move(Row));
+    std::printf("%-9s %14llu %16.2f %16.2f %8.2fx\n", App.Name.c_str(),
+                static_cast<unsigned long long>(Instructions),
+                SwitchIps / 1e6, ThreadedIps / 1e6, Speedup);
   }
-  double Geomean = Rows.empty() ? 0 : std::exp(LogSum / Rows.size());
+  double Geomean = Apps ? std::exp(LogSum / static_cast<double>(Apps)) : 0;
+  Json.add("geomean_speedup", Geomean, "x");
   std::printf("\ngeomean speedup: %.2fx\n", Geomean);
   if (!Smoke)
     std::printf("%s\n",
@@ -185,17 +142,9 @@ int main(int argc, char **argv) {
                       "switch engine]"
                     : "[WARNING: threaded dispatch under the 1.5x bar]");
 
-  std::string Json = renderJson(Rows, Geomean, Smoke);
-  FILE *F = std::fopen(OutPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s for writing\n", OutPath.c_str());
+  if (Error E = Json.write(OutPath)) {
+    std::fprintf(stderr, "%s\n", E.message().c_str());
     return 1;
   }
-  size_t Wrote = std::fwrite(Json.data(), 1, Json.size(), F);
-  if (std::fclose(F) != 0 || Wrote != Json.size()) {
-    std::fprintf(stderr, "short write to %s\n", OutPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
   return 0;
 }

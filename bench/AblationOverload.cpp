@@ -27,12 +27,14 @@
 /// collapse (amplification > 3x, availability floor) and the budget-on
 /// row shows the defense (amplification <= 2x, recovery >= 99%).
 ///
-/// Writes BENCH_overload.json (override with --out); --smoke shortens
-/// both phases (CI profile). --seed replays a specific soak.
+/// Writes BENCH_overload.json in the shared bench shape (bench/Report.h;
+/// override the path with --out); --smoke shortens both phases (CI
+/// profile). --seed replays a specific soak.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "bench/Report.h"
 #include "crypto/Drbg.h"
 #include "elide/Provisioner.h"
 #include "server/AuthServer.h"
@@ -241,43 +243,27 @@ SweepRow runSweep(int Requests) {
 // Rendering
 //===----------------------------------------------------------------------===//
 
-std::string renderJson(const SoakRow &Off, const SoakRow &On,
-                       const SweepRow &Sweep, uint64_t Seed, bool Smoke) {
-  char Buf[1024];
-  std::string Json = "{\n  \"bench\": \"ablation_overload\",\n";
-  std::snprintf(Buf, sizeof(Buf),
-                "  \"smoke\": %s,\n  \"seed\": %llu,\n  \"soak\": [\n",
-                Smoke ? "true" : "false",
-                static_cast<unsigned long long>(Seed));
-  Json += Buf;
-  const SoakRow *Rows[2] = {&Off, &On};
-  for (int I = 0; I < 2; ++I) {
-    const SoakRow &R = *Rows[I];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "    {\"retry_budget\": %s, \"offered\": %zu, \"succeeded\": %zu, "
-        "\"server_calls\": %zu, \"server_shed\": %zu,\n"
-        "     \"retry_amplification\": %.3f, \"goodput_pct\": %.2f, "
-        "\"recovery_availability_pct\": %.2f, "
-        "\"time_to_recover_ticks\": %d, \"final_budget\": %.2f}%s\n",
-        R.Budgets ? "true" : "false", R.Offered, R.Succeeded, R.ServerCalls,
-        R.ServerShed, R.Amplification, R.GoodputPct, R.RecoveryAvailPct,
-        R.TimeToRecoverTicks, R.FinalBudget, I == 0 ? "," : "");
-    Json += Buf;
-  }
-  Json += "  ],\n";
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "  \"sweep\": {\"requests\": %zu, \"deadline_missed\": %zu, "
-      "\"deadline_miss_rate\": %.4f, \"brownout_transitions\": %zu,\n"
-      "   \"shed_by_class\": {\"critical\": %zu, \"default\": %zu, "
-      "\"sheddable\": %zu}}\n",
-      Sweep.Requests, Sweep.DeadlineExpired, Sweep.DeadlineMissRate,
-      Sweep.BrownoutTransitions, Sweep.ShedCritical, Sweep.ShedDefault,
-      Sweep.ShedSheddable);
-  Json += Buf;
-  Json += "}\n";
-  return Json;
+void addSoak(Report &Json, const SoakRow &R) {
+  std::string P = R.Budgets ? "soak.budget_on." : "soak.budget_off.";
+  Json.add(P + "offered", R.Offered, "req");
+  Json.add(P + "succeeded", R.Succeeded, "req");
+  Json.add(P + "server_calls", R.ServerCalls, "call");
+  Json.add(P + "server_shed", R.ServerShed, "call");
+  Json.add(P + "retry_amplification", R.Amplification, "x");
+  Json.add(P + "goodput_pct", R.GoodputPct, "%");
+  Json.add(P + "recovery_availability_pct", R.RecoveryAvailPct, "%");
+  Json.add(P + "time_to_recover_ticks", R.TimeToRecoverTicks, "tick");
+  Json.add(P + "final_budget", R.FinalBudget, "token");
+}
+
+void addSweep(Report &Json, const SweepRow &S) {
+  Json.add("sweep.requests", S.Requests, "req");
+  Json.add("sweep.deadline_missed", S.DeadlineExpired, "req");
+  Json.add("sweep.deadline_miss_rate", S.DeadlineMissRate, "ratio");
+  Json.add("sweep.brownout_transitions", S.BrownoutTransitions, "transition");
+  Json.add("sweep.shed_critical", S.ShedCritical, "req");
+  Json.add("sweep.shed_default", S.ShedDefault, "req");
+  Json.add("sweep.shed_sheddable", S.ShedSheddable, "req");
 }
 
 } // namespace
@@ -377,17 +363,16 @@ int main(int argc, char **argv) {
   if (Failed)
     return 1;
 
-  std::string Json = renderJson(Off, On, Sweep, Seed, Smoke);
-  FILE *F = std::fopen(OutPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s for writing\n", OutPath.c_str());
+  Report Json("ablation_overload");
+  Json.add("config.seed", static_cast<double>(Seed), "seed");
+  Json.add("config.soak_ticks", SoakTicks, "tick");
+  Json.add("config.sweep_requests", SweepRequests, "req");
+  addSoak(Json, Off);
+  addSoak(Json, On);
+  addSweep(Json, Sweep);
+  if (Error E = Json.write(OutPath)) {
+    std::fprintf(stderr, "%s\n", E.message().c_str());
     return 1;
   }
-  size_t Wrote = std::fwrite(Json.data(), 1, Json.size(), F);
-  if (std::fclose(F) != 0 || Wrote != Json.size()) {
-    std::fprintf(stderr, "short write to %s\n", OutPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
   return 0;
 }

@@ -12,12 +12,14 @@
 /// availability (first-try and with bounded retries), recovery latency
 /// percentiles, and the per-class fault containment counts.
 ///
-/// Writes BENCH_recovery.json (override with --out); --smoke runs the
-/// single mid-rate row with a shorter request train (CI profile).
+/// Writes BENCH_recovery.json in the shared bench shape (bench/Report.h;
+/// override the path with --out); --smoke runs the single mid-rate row
+/// with a shorter request train (CI profile).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "bench/Report.h"
 #include "elide/Supervisor.h"
 #include "server/AuthServer.h"
 #include "sgx/EnclaveChaos.h"
@@ -127,6 +129,12 @@ struct Row {
   SupervisorStats Stats;
   sgx::EnclaveChaosStats Chaos;
   uint64_t Generations = 0;
+
+  double availabilityPct() const { return pctOfRequests(Served); }
+  double firstTryPct() const { return pctOfRequests(ServedFirstTry); }
+  double pctOfRequests(int N) const {
+    return Requests ? 100.0 * N / static_cast<double>(Requests) : 0.0;
+  }
 };
 
 Row runStorm(uint32_t FaultPerMille, int Requests, uint64_t Seed,
@@ -188,52 +196,25 @@ Row runStorm(uint32_t FaultPerMille, int Requests, uint64_t Seed,
   return Result;
 }
 
-std::string renderJson(const std::vector<Row> &Rows, uint64_t Seed,
-                       bool Smoke) {
-  char Buf[512];
-  std::string Json = "{\n  \"bench\": \"ablation_recovery\",\n";
-  std::snprintf(Buf, sizeof(Buf),
-                "  \"smoke\": %s,\n  \"seed\": %llu,\n  \"rows\": [\n",
-                Smoke ? "true" : "false",
-                static_cast<unsigned long long>(Seed));
-  Json += Buf;
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    const SupervisorStats &S = R.Stats;
-    double Avail = R.Requests
-                       ? 100.0 * R.Served / static_cast<double>(R.Requests)
-                       : 0.0;
-    double FirstTry =
-        R.Requests ? 100.0 * R.ServedFirstTry / static_cast<double>(R.Requests)
-                   : 0.0;
-    std::snprintf(Buf, sizeof(Buf),
-                  "    {\"fault_permille\": %u, \"requests\": %d, "
-                  "\"served\": %d, \"availability_pct\": %.2f, "
-                  "\"first_try_pct\": %.2f,\n",
-                  R.FaultPerMille, R.Requests, R.Served, Avail, FirstTry);
-    Json += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "     \"recoveries\": %zu, \"recovery_failures\": %zu, "
-                  "\"recovery_p50_ms\": %.2f, \"recovery_p95_ms\": %.2f,\n",
-                  S.Recoveries, S.RecoveryFailures,
-                  percentile(S.RecoveryMs, 50), percentile(S.RecoveryMs, 95));
-    Json += Buf;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "     \"faults\": {\"vm_trap\": %zu, \"budget_runaway\": %zu, "
-        "\"restore_failure\": %zu, \"sealed_cache_corruption\": %zu},\n",
-        S.FaultsVmTrap, S.FaultsBudgetRunaway, S.FaultsRestoreFailure,
-        S.FaultsSealedCacheCorruption);
-    Json += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "     \"generations\": %llu, \"crash_loop_tripped\": %s}%s\n",
-                  static_cast<unsigned long long>(R.Generations),
-                  S.CrashLoopTripped ? "true" : "false",
-                  I + 1 < Rows.size() ? "," : "");
-    Json += Buf;
-  }
-  Json += "  ]\n}\n";
-  return Json;
+void addRow(Report &Json, const Row &R) {
+  const SupervisorStats &S = R.Stats;
+  std::string P = "faults_" + std::to_string(R.FaultPerMille) + "_permille.";
+  Json.add(P + "requests", R.Requests, "req");
+  Json.add(P + "served", R.Served, "req");
+  Json.add(P + "availability_pct", R.availabilityPct(), "%");
+  Json.add(P + "first_try_pct", R.firstTryPct(), "%");
+  Json.add(P + "recoveries", S.Recoveries, "recovery");
+  Json.add(P + "recovery_failures", S.RecoveryFailures, "recovery");
+  Json.add(P + "recovery_p50_ms", percentile(S.RecoveryMs, 50), "ms");
+  Json.add(P + "recovery_p95_ms", percentile(S.RecoveryMs, 95), "ms");
+  Json.add(P + "faults.vm_trap", S.FaultsVmTrap, "fault");
+  Json.add(P + "faults.budget_runaway", S.FaultsBudgetRunaway, "fault");
+  Json.add(P + "faults.restore_failure", S.FaultsRestoreFailure, "fault");
+  Json.add(P + "faults.sealed_cache_corruption",
+           S.FaultsSealedCacheCorruption, "fault");
+  Json.add(P + "generations", static_cast<double>(R.Generations),
+           "generation");
+  Json.add(P + "crash_loop_tripped", S.CrashLoopTripped, "bool");
 }
 
 } // namespace
@@ -282,16 +263,14 @@ int main(int argc, char **argv) {
               "------------------------------------------------------------"
               "--------------------");
 
-  std::vector<Row> Rows;
+  Report Json("ablation_recovery");
+  Json.add("config.seed", static_cast<double>(Seed), "seed");
+  Json.add("config.requests", Requests, "req");
   for (uint32_t Rate : Rates) {
     Row R = runStorm(Rate, Requests, Seed, SealedPath);
-    double Avail =
-        R.Requests ? 100.0 * R.Served / static_cast<double>(R.Requests) : 0;
-    double FirstTry =
-        R.Requests ? 100.0 * R.ServedFirstTry / static_cast<double>(R.Requests)
-                   : 0;
     std::printf("%10u %9d %8.2f %10.2f %10zu %7llu %8.2f %8.2f\n", Rate,
-                R.Requests, Avail, FirstTry, R.Stats.Recoveries,
+                R.Requests, R.availabilityPct(), R.firstTryPct(),
+                R.Stats.Recoveries,
                 static_cast<unsigned long long>(R.Generations),
                 percentile(R.Stats.RecoveryMs, 50),
                 percentile(R.Stats.RecoveryMs, 95));
@@ -305,24 +284,16 @@ int main(int argc, char **argv) {
                    Rate);
       return 1;
     }
-    if (Avail < 99.0) {
+    if (R.availabilityPct() < 99.0) {
       std::fprintf(stderr, "availability under 99%% at %u permille\n", Rate);
       return 1;
     }
-    Rows.push_back(std::move(R));
+    addRow(Json, R);
   }
 
-  std::string Json = renderJson(Rows, Seed, Smoke);
-  FILE *F = std::fopen(OutPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot open %s for writing\n", OutPath.c_str());
+  if (Error E = Json.write(OutPath)) {
+    std::fprintf(stderr, "%s\n", E.message().c_str());
     return 1;
   }
-  size_t Wrote = std::fwrite(Json.data(), 1, Json.size(), F);
-  if (std::fclose(F) != 0 || Wrote != Json.size()) {
-    std::fprintf(stderr, "short write to %s\n", OutPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
   return 0;
 }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scenario plumbing shared by the table/figure benchmark binaries: build
+/// Scenario plumbing shared by `paper_report` and the ablations: build
 /// artifacts per app (cached -- compilation is not what the paper times),
-/// provisioned servers, and launch/restore helpers. Each binary prints a
-/// paper-style table.
+/// provisioned servers, and launch helpers. Each binary prints
+/// paper-style tables.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -102,19 +102,7 @@ struct WorkerResult {
   size_t Failed = 0;
   size_t Attempts = 0;
   size_t Shed = 0;
-  size_t DeadlineMissed = 0;
-  size_t RecordAttempts = 0;
 };
-
-/// True when the server answered an ERROR frame carrying the
-/// deadline-expired marker (the transport hands raw frames back).
-bool frameSaysDeadlineExpired(BytesView Frame) {
-  if (Frame.empty() || Frame[0] != FrameError)
-    return false;
-  return errorSaysDeadlineExpired(
-      std::string(reinterpret_cast<const char *>(Frame.data()) + 1,
-                  Frame.size() - 1));
-}
 
 /// One attested HELLO for \p ClientPub over \p Hellos.
 Expected<HelloOk> hello(QuoteMint &Mint, Transport &Hellos,
@@ -128,7 +116,7 @@ Expected<HelloOk> hello(QuoteMint &Mint, Transport &Hellos,
 /// the metadata comes over the record channel. Returns success; always
 /// counts attempts/shed into \p R.
 bool restoreOnce(QuoteMint &Mint, Transport &Hellos, Transport &Records,
-                 Drbg &Rng, const LoadGenConfig &Cfg, WorkerResult &R) {
+                 Drbg &Rng, WorkerResult &R) {
   X25519Key Priv;
   Rng.fill(MutableBytesView(Priv.data(), 32));
   X25519Key Pub = x25519PublicKey(Priv);
@@ -144,37 +132,18 @@ bool restoreOnce(QuoteMint &Mint, Transport &Hellos, Transport &Records,
   SessionKeys Keys =
       deriveSessionKeys(x25519(Priv, Ok->ServerPub), Pub, Ok->ServerPub);
 
-  bool Envelope = Cfg.EnvelopeRecords || Cfg.RecordDeadlineMs;
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
     Expected<Bytes> Frame = sealSessionRecord(
         Ok->Sid, Keys.ClientToServer, Bytes{RequestMeta}, Rng);
     if (!Frame)
       return false;
-    ++R.RecordAttempts;
-    Bytes Wire = *Frame;
-    if (Envelope) {
-      // Cycle the classes per attempt so the server's per-class shed
-      // counters see a mixed fleet, not a monoculture.
-      auto Class = static_cast<Criticality>(R.RecordAttempts % 3);
-      Wire = envelopeFrame(Cfg.RecordDeadlineMs, Class, *Frame);
-    }
-    Expected<Bytes> Response = Records.roundTrip(Wire);
+    Expected<Bytes> Response = Records.roundTrip(*Frame);
     if (Response) {
-      if (frameSaysDeadlineExpired(*Response)) {
-        ++R.DeadlineMissed;
-        continue;
-      }
       Expected<Bytes> Meta = openRecord(Keys.ServerToClient, *Response);
       return static_cast<bool>(Meta) && !Meta->empty();
     }
-    TransportErrc Errc = transportErrcOf(Response);
-    if (Errc == TransportErrc::Overloaded)
+    if (transportErrcOf(Response) == TransportErrc::Overloaded)
       ++R.Shed;
-    else if (Errc == TransportErrc::DeadlineExceeded) {
-      // A lapsed deadline is terminal for this request by definition.
-      ++R.DeadlineMissed;
-      return false;
-    }
   }
   return false;
 }
@@ -279,7 +248,7 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
           break;
         }
         Timer T;
-        bool Ok = restoreOnce(Mint, HelloLink, Records, Rng, Config, R);
+        bool Ok = restoreOnce(Mint, HelloLink, Records, Rng, R);
         if (Ok) {
           R.LatenciesMs.push_back(T.elapsedMs());
           Succeeded.fetch_add(1, std::memory_order_relaxed);
@@ -305,19 +274,12 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
   LoadGenReport Report;
   Report.Config = Config;
   std::vector<double> All;
-  size_t RecordAttempts = 0;
   for (WorkerResult &R : Results) {
     All.insert(All.end(), R.LatenciesMs.begin(), R.LatenciesMs.end());
     Report.RestoresFailed += R.Failed;
     Report.ShedObserved += R.Shed;
     Report.RestoresTotal += R.LatenciesMs.size();
-    Report.DeadlineMissed += R.DeadlineMissed;
-    RecordAttempts += R.RecordAttempts;
   }
-  Report.DeadlineMissRate =
-      RecordAttempts ? static_cast<double>(Report.DeadlineMissed) /
-                           static_cast<double>(RecordAttempts)
-                     : 0;
   size_t Attempts = 0;
   for (WorkerResult &R : Results)
     Attempts += R.Attempts;
@@ -350,7 +312,7 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       Buf, sizeof(Buf),
       "{\n"
       "  \"bench\": \"provisioning_loadgen\",\n"
-      "  \"version\": 2,\n"
+      "  \"version\": 3,\n"
       "  \"config\": {\n"
       "    \"mode\": \"%s\",\n"
       "    \"duration_ms\": %d,\n"
@@ -371,10 +333,6 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       "    \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, "
       "\"mean\": %.3f},\n"
       "    \"shed_rate\": %.4f,\n"
-      "    \"deadline_missed\": %zu,\n"
-      "    \"deadline_miss_rate\": %.4f,\n"
-      "    \"shed_by_class\": {\"critical\": %zu, \"default\": %zu, "
-      "\"sheddable\": %zu},\n"
       "    \"max_concurrent_sessions\": %zu,\n"
       "    \"max_concurrent_connections\": %zu,\n"
       "    \"faults_injected\": %zu,\n"
@@ -393,8 +351,7 @@ std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
       R.Config.FaultPerMille, R.Config.ForcePollBackend ? "true" : "false",
       R.RestoresTotal, R.RestoresFailed, R.DurationS, R.RestoresPerSec,
       R.LatencyMs.P50, R.LatencyMs.P95, R.LatencyMs.P99, R.LatencyMs.Mean,
-      R.ShedRate, R.DeadlineMissed, R.DeadlineMissRate, R.Server.ShedCritical,
-      R.Server.ShedDefault, R.Server.ShedSheddable, R.MaxConcurrentSessions,
+      R.ShedRate, R.MaxConcurrentSessions,
       R.MaxConcurrentConnections, R.FaultsInjected,
       R.Server.HandshakesCompleted, R.Server.LiveSessions,
       R.Server.SessionsEvicted,

@@ -69,14 +69,6 @@ struct LoadGenConfig {
   bool ForcePollBackend = false;
   /// Seed for client key material and ids.
   uint64_t Seed = 1;
-  /// End-to-end deadline stamped on record exchanges via the request
-  /// envelope (0 = no deadline).
-  uint32_t RecordDeadlineMs = 0;
-  /// Wrap record exchanges in envelopes cycling through the criticality
-  /// classes (Critical / Default / Sheddable per attempt), so the
-  /// server's per-class shed counters see a mixed fleet. Implied when
-  /// RecordDeadlineMs > 0.
-  bool EnvelopeRecords = false;
 };
 
 /// Latency percentiles over the successful restores, in milliseconds.
@@ -95,11 +87,6 @@ struct LoadGenReport {
   /// Overloaded verdicts / restore attempts.
   double ShedRate = 0;
   size_t ShedObserved = 0;
-  /// Client-observed deadline misses on the record path (transport
-  /// DeadlineExceeded or a server [deadline-expired] verdict), and the
-  /// rate over record attempts.
-  size_t DeadlineMissed = 0;
-  double DeadlineMissRate = 0;
   /// Peak live sessions in the server's store during the run.
   size_t MaxConcurrentSessions = 0;
   /// Peak open sockets at the reactor (ballast + active exchanges).

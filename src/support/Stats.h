@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timing and mean/standard-deviation helpers used by the
-/// Table 2 and Figure 3/4 benchmark harnesses (the paper reports
+/// Wall-clock timing and mean/standard-deviation helpers used by
+/// `bench/paper_report` and the other benches (the paper reports
 /// avg +/- stddev of 10 runs).
 ///
 //===----------------------------------------------------------------------===//

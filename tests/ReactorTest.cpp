@@ -206,11 +206,18 @@ TEST(ReactorTest, StalledReaderHitsWriteBackpressureDeadline) {
   int Fd = rawConnect((*S)->port());
   ASSERT_GE(Fd, 0);
   Bytes Req = {0x01};
+  auto Sent = std::chrono::steady_clock::now();
   ASSERT_TRUE(sendFrame(Fd, Req));
-  // Never read. The server's write deadline must fire.
-  for (int I = 0; I < 100 && (*S)->stats().WriteTimeouts == 0; ++I)
+  // Never read. The server's write deadline must fire. The wait is long
+  // because a sanitizer build can take seconds to build the response
+  // before the deadline is even armed.
+  auto GiveUp = Sent + std::chrono::seconds(10);
+  while ((*S)->stats().WriteTimeouts == 0 &&
+         std::chrono::steady_clock::now() < GiveUp)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_GE((*S)->stats().WriteTimeouts, 1u);
+  auto Waited = std::chrono::steady_clock::now() - Sent;
+  EXPECT_EQ((*S)->stats().WriteTimeouts, 1u);
+  EXPECT_GE(Waited, std::chrono::milliseconds(Config.WriteTimeoutMs));
   ::close(Fd);
   (*S)->stop();
 }
