@@ -9,9 +9,10 @@
 /// runs (see docs/server.md for the full flag reference):
 ///
 ///   loadgen_provisioning --smoke
-///   loadgen_provisioning --target-sessions 10000 --connections 2000 \
-///       --workers 64 --duration-s 120
 ///   loadgen_provisioning --mode open --arrival-per-sec 400 --duration-s 30
+///
+/// and at scale, all on one command line: `--target-sessions 10000
+/// --connections 2000 --workers 64 --duration-s 120`.
 ///
 /// Writes BENCH_provisioning.json (override with --out) and prints the
 /// same document to stdout.

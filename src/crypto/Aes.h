@@ -44,6 +44,10 @@ public:
   /// Number of rounds (10/12/14 for 128/192/256-bit keys).
   unsigned rounds() const { return Rounds; }
 
+  /// Writes round key \p Round (0..rounds()) as the 16 bytes AddRoundKey
+  /// XORs into the state, the layout AES-NI takes its round keys in.
+  void roundKey(unsigned Round, uint8_t Out[16]) const;
+
 private:
   Aes() = default;
   void expandKey(BytesView Key);

@@ -34,64 +34,40 @@ struct Block128 {
 };
 
 /// GF(2^128) multiplication with the GCM polynomial (SP 800-38D alg. 1).
+/// Branch-free: each data bit becomes an all-ones or all-zero mask, so the
+/// time does not depend on X, Y or the reduction carries.
 Block128 gfMul(const Block128 &X, const Block128 &Y) {
   Block128 Z;
   Block128 V = Y;
-  for (int I = 0; I < 128; ++I) {
-    uint64_t Word = I < 64 ? X.Hi : X.Lo;
-    int Bit = 63 - (I & 63);
-    if ((Word >> Bit) & 1)
-      Z ^= V;
-    bool Lsb = V.Lo & 1;
-    V.Lo = (V.Lo >> 1) | (V.Hi << 63);
-    V.Hi >>= 1;
-    if (Lsb)
-      V.Hi ^= 0xe100000000000000ULL;
+  for (uint64_t Word : {X.Hi, X.Lo}) {
+    for (int Bit = 63; Bit >= 0; --Bit) {
+      uint64_t Take = 0 - ((Word >> Bit) & 1);
+      Z.Hi ^= V.Hi & Take;
+      Z.Lo ^= V.Lo & Take;
+      uint64_t Carry = 0 - (V.Lo & 1);
+      V.Lo = (V.Lo >> 1) | (V.Hi << 63);
+      V.Hi = (V.Hi >> 1) ^ (0xe100000000000000ULL & Carry);
+    }
   }
   return Z;
 }
 
-/// Streaming GHASH accumulator.
-class Ghash {
-public:
-  explicit Ghash(const std::array<uint8_t, 16> &HKey)
-      : H(Block128::load(HKey.data())) {}
-
-  /// Absorbs \p Data, zero-padding the final partial block.
-  void updatePadded(BytesView Data) {
-    size_t Full = Data.size() / 16 * 16;
-    for (size_t I = 0; I < Full; I += 16)
-      absorbBlock(Data.data() + I);
-    if (Full < Data.size()) {
-      uint8_t Last[16] = {0};
-      std::memcpy(Last, Data.data() + Full, Data.size() - Full);
-      absorbBlock(Last);
-    }
-  }
-
-  /// Absorbs the 64-bit bit lengths of AAD and ciphertext.
-  void updateLengths(uint64_t AadBytes, uint64_t TextBytes) {
-    uint8_t LenBlock[16];
-    writeBE64(LenBlock, AadBytes * 8);
-    writeBE64(LenBlock + 8, TextBytes * 8);
-    absorbBlock(LenBlock);
-  }
-
-  std::array<uint8_t, 16> final() const {
-    std::array<uint8_t, 16> Out;
-    Y.store(Out.data());
-    return Out;
-  }
-
-private:
-  void absorbBlock(const uint8_t *P) {
-    Y ^= Block128::load(P);
+void portableGhash(const uint8_t HBytes[16], uint8_t YBytes[16],
+                   const uint8_t *Data, size_t Len) {
+  Block128 H = Block128::load(HBytes);
+  Block128 Y = Block128::load(YBytes);
+  for (; Len >= 16; Data += 16, Len -= 16) {
+    Y ^= Block128::load(Data);
     Y = gfMul(Y, H);
   }
-
-  Block128 H;
-  Block128 Y;
-};
+  if (Len != 0) {
+    uint8_t Last[16] = {0};
+    std::memcpy(Last, Data, Len);
+    Y ^= Block128::load(Last);
+    Y = gfMul(Y, H);
+  }
+  Y.store(YBytes);
+}
 
 /// Increments the low 32 bits of a counter block (GCM's inc32).
 void inc32(uint8_t Counter[16]) {
@@ -99,107 +75,134 @@ void inc32(uint8_t Counter[16]) {
   writeBE32(Counter + 12, C + 1);
 }
 
-/// Generates CTR keystream starting at inc32(J0) and XORs it over Data.
-Bytes gctr(const Aes &Cipher, const uint8_t J0[16], BytesView Data) {
-  Bytes Out(Data.begin(), Data.end());
+void portableCtr(const Aes &Cipher, const uint8_t J0[16], const uint8_t *In,
+                 uint8_t *Out, size_t Len) {
   uint8_t Counter[16];
   std::memcpy(Counter, J0, 16);
-  for (size_t Off = 0; Off < Out.size(); Off += 16) {
+  for (size_t Off = 0; Off < Len; Off += 16) {
     inc32(Counter);
     uint8_t Keystream[16];
     Cipher.encryptBlock(Counter, Keystream);
-    size_t N = Out.size() - Off < 16 ? Out.size() - Off : 16;
+    size_t N = Len - Off < 16 ? Len - Off : 16;
     for (size_t I = 0; I < N; ++I)
-      Out[Off + I] ^= Keystream[I];
+      Out[Off + I] = In[Off + I] ^ Keystream[I];
   }
-  return Out;
 }
 
-/// Computes the pre-counter block J0 for \p Iv.
-void deriveJ0(const std::array<uint8_t, 16> &HKey, BytesView Iv,
-              uint8_t J0[16]) {
-  if (Iv.size() == 12) {
-    std::memcpy(J0, Iv.data(), 12);
-    J0[12] = J0[13] = J0[14] = 0;
-    J0[15] = 1;
-    return;
-  }
-  Ghash G(HKey);
-  G.updatePadded(Iv);
-  G.updateLengths(0, Iv.size());
-  std::array<uint8_t, 16> R = G.final();
-  std::memcpy(J0, R.data(), 16);
+/// The kernel `aesGcmEncrypt` and `aesGcmDecrypt` use, picked once.
+const GcmKernel &activeKernel() {
+  static const GcmKernel Active =
+      x86GcmKernel().value_or(portableGcmKernel());
+  return Active;
 }
+
+/// Absorbs \p Data into \p Y; an empty view may have no storage at all.
+void absorb(const GcmKernel &K, const uint8_t H[16], uint8_t Y[16],
+            BytesView Data) {
+  if (!Data.empty())
+    K.Ghash(H, Y, Data.data(), Data.size());
+}
+
+/// Absorbs the 64-bit bit lengths of two inputs, the last GHASH block.
+void absorbLengths(const GcmKernel &K, const uint8_t H[16], uint8_t Y[16],
+                   uint64_t FirstBytes, uint64_t SecondBytes) {
+  uint8_t LenBlock[16];
+  writeBE64(LenBlock, FirstBytes * 8);
+  writeBE64(LenBlock + 8, SecondBytes * 8);
+  K.Ghash(H, Y, LenBlock, 16);
+}
+
+/// What every kernel shares for one key and IV: the key schedule, the hash
+/// subkey H = E(0) and the pre-counter block J0.
+struct GcmContext {
+  GcmContext(const GcmKernel &Kernel, const Aes &Schedule, BytesView Iv)
+      : K(Kernel), Cipher(Schedule) {
+    Cipher.encryptBlock(H, H);
+    if (Iv.size() == 12) {
+      std::memcpy(J0, Iv.data(), 12);
+      J0[15] = 1;
+    } else {
+      absorb(K, H, J0, Iv);
+      absorbLengths(K, H, J0, 0, Iv.size());
+    }
+  }
+
+  /// GHASH over \p Aad and \p Ciphertext, masked with E(J0).
+  GcmTag tag(BytesView Aad, BytesView Ciphertext) const {
+    uint8_t S[16] = {0};
+    absorb(K, H, S, Aad);
+    absorb(K, H, S, Ciphertext);
+    absorbLengths(K, H, S, Aad.size(), Ciphertext.size());
+    uint8_t TagMask[16];
+    Cipher.encryptBlock(J0, TagMask);
+    GcmTag Tag;
+    for (int I = 0; I < 16; ++I)
+      Tag[I] = S[I] ^ TagMask[I];
+    return Tag;
+  }
+
+  /// The kernel's CTR over \p Data, into a new buffer.
+  Bytes ctr(BytesView Data) const {
+    Bytes Out(Data.size());
+    if (!Data.empty())
+      K.Ctr(Cipher, J0, Data.data(), Out.data(), Data.size());
+    return Out;
+  }
+
+  const GcmKernel &K;
+  Aes Cipher;
+  uint8_t H[16] = {0};
+  uint8_t J0[16] = {0};
+};
 
 } // namespace
 
-std::array<uint8_t, 16> elide::ghash(const std::array<uint8_t, 16> &H,
+GcmKernel elide::portableGcmKernel() { return {portableCtr, portableGhash}; }
+
+std::array<uint8_t, 16> elide::ghash(const GcmKernel &K,
+                                     const std::array<uint8_t, 16> &H,
                                      BytesView Data) {
   assert(Data.size() % 16 == 0 && "GHASH input must be block-aligned");
-  Ghash G(H);
-  G.updatePadded(Data);
-  return G.final();
+  std::array<uint8_t, 16> Y{};
+  absorb(K, H.data(), Y.data(), Data);
+  return Y;
+}
+
+Expected<GcmSealed> elide::aesGcmEncrypt(const GcmKernel &K, BytesView Key,
+                                         BytesView Iv, BytesView Plaintext,
+                                         BytesView Aad) {
+  ELIDE_TRY(Aes Cipher, Aes::create(Key));
+  if (Iv.empty())
+    return makeError("GCM IV must not be empty");
+  GcmContext C(K, Cipher, Iv);
+  GcmSealed Out;
+  Out.Ciphertext = C.ctr(Plaintext);
+  Out.Tag = C.tag(Aad, Out.Ciphertext);
+  return Out;
+}
+
+Expected<Bytes> elide::aesGcmDecrypt(const GcmKernel &K, BytesView Key,
+                                     BytesView Iv, BytesView Ciphertext,
+                                     BytesView Aad, const GcmTag &Tag) {
+  ELIDE_TRY(Aes Cipher, Aes::create(Key));
+  if (Iv.empty())
+    return makeError("GCM IV must not be empty");
+  GcmContext C(K, Cipher, Iv);
+  GcmTag Expected = C.tag(Aad, Ciphertext);
+  if (!cryptoEqual(Expected.data(), Tag.data(), Expected.size()))
+    return makeError("GCM authentication tag mismatch");
+  return C.ctr(Ciphertext);
 }
 
 Expected<GcmSealed> elide::aesGcmEncrypt(BytesView Key, BytesView Iv,
                                          BytesView Plaintext, BytesView Aad) {
-  ELIDE_TRY(Aes Cipher, Aes::create(Key));
-  if (Iv.empty())
-    return makeError("GCM IV must not be empty");
-
-  std::array<uint8_t, 16> HKey;
-  uint8_t Zero[16] = {0};
-  Cipher.encryptBlock(Zero, HKey.data());
-
-  uint8_t J0[16];
-  deriveJ0(HKey, Iv, J0);
-
-  GcmSealed Out;
-  Out.Ciphertext = gctr(Cipher, J0, Plaintext);
-
-  Ghash G(HKey);
-  G.updatePadded(Aad);
-  G.updatePadded(BytesView(Out.Ciphertext));
-  G.updateLengths(Aad.size(), Out.Ciphertext.size());
-  std::array<uint8_t, 16> S = G.final();
-
-  uint8_t TagMask[16];
-  Cipher.encryptBlock(J0, TagMask);
-  for (int I = 0; I < 16; ++I)
-    Out.Tag[I] = S[I] ^ TagMask[I];
-  return Out;
+  return aesGcmEncrypt(activeKernel(), Key, Iv, Plaintext, Aad);
 }
 
 Expected<Bytes> elide::aesGcmDecrypt(BytesView Key, BytesView Iv,
                                      BytesView Ciphertext, BytesView Aad,
                                      const GcmTag &Tag) {
-  ELIDE_TRY(Aes Cipher, Aes::create(Key));
-  if (Iv.empty())
-    return makeError("GCM IV must not be empty");
-
-  std::array<uint8_t, 16> HKey;
-  uint8_t Zero[16] = {0};
-  Cipher.encryptBlock(Zero, HKey.data());
-
-  uint8_t J0[16];
-  deriveJ0(HKey, Iv, J0);
-
-  Ghash G(HKey);
-  G.updatePadded(Aad);
-  G.updatePadded(Ciphertext);
-  G.updateLengths(Aad.size(), Ciphertext.size());
-  std::array<uint8_t, 16> S = G.final();
-
-  uint8_t TagMask[16];
-  Cipher.encryptBlock(J0, TagMask);
-  GcmTag Expected;
-  for (int I = 0; I < 16; ++I)
-    Expected[I] = S[I] ^ TagMask[I];
-
-  if (!cryptoEqual(Expected.data(), Tag.data(), Expected.size()))
-    return makeError("GCM authentication tag mismatch");
-
-  return gctr(Cipher, J0, Ciphertext);
+  return aesGcmDecrypt(activeKernel(), Key, Iv, Ciphertext, Aad, Tag);
 }
 
 Expected<Bytes> elide::aesCtrCrypt(BytesView Key,
