@@ -127,7 +127,7 @@ struct Row {
   int Served = 0;        ///< With bounded retries.
   int ServedFirstTry = 0;
   SupervisorStats Stats;
-  sgx::EnclaveChaosStats Chaos;
+  FaultCounts Chaos;
   uint64_t Generations = 0;
 
   double availabilityPct() const { return pctOfRequests(Served); }
@@ -160,11 +160,10 @@ Row runStorm(uint32_t FaultPerMille, int Requests, uint64_t Seed,
     std::abort();
   }
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed;
   Plan.FaultPerMille = FaultPerMille;
-  Plan.ClampBudget = 4;
-  sgx::EnclaveChaos Chaos(Plan);
+  sgx::EnclaveChaos Chaos(Plan, /*ClampBudget=*/4);
   Sup.setChaos(&Chaos);
 
   Row Result;
@@ -189,7 +188,7 @@ Row runStorm(uint32_t FaultPerMille, int Requests, uint64_t Seed,
     }
   }
   Result.Stats = Sup.stats();
-  Result.Chaos = Chaos.stats();
+  Result.Chaos = Chaos.counts();
   Result.Generations = Sup.generation();
   removeFile(SealedPath);
   removeFile(SealedPath + ".quarantine");
@@ -276,10 +275,11 @@ int main(int argc, char **argv) {
                 percentile(R.Stats.RecoveryMs, 95));
     // The storm must stay contained: every class accounted for, the host
     // alive, and availability at the bar once retries ride the recovery.
-    if (R.Stats.FaultsVmTrap != R.Chaos.TrapScribbles ||
-        R.Stats.FaultsBudgetRunaway != R.Chaos.BudgetClamps ||
-        R.Stats.FaultsRestoreFailure != R.Chaos.RestoreFails ||
-        R.Stats.FaultsSealedCacheCorruption != R.Chaos.SealedCorruptions) {
+    if (R.Stats.FaultsVmTrap != R.Chaos.of(FaultKind::TrapScribble) ||
+        R.Stats.FaultsBudgetRunaway != R.Chaos.of(FaultKind::BudgetClamp) ||
+        R.Stats.FaultsRestoreFailure != R.Chaos.of(FaultKind::RestoreFail) ||
+        R.Stats.FaultsSealedCacheCorruption !=
+            R.Chaos.of(FaultKind::SealedCorrupt)) {
       std::fprintf(stderr, "fault containment mismatch at %u permille\n",
                    Rate);
       return 1;

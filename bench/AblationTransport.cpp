@@ -62,7 +62,6 @@ FaultPlan lossyPlan(uint64_t Seed) {
   Plan.FaultPerMille = 200; // One call in five suffers.
   Plan.RateKinds = {FaultKind::Drop, FaultKind::Delay, FaultKind::Truncate,
                     FaultKind::DisconnectMidFrame};
-  Plan.DelayMs = 1;
   return Plan;
 }
 
@@ -101,10 +100,10 @@ int main() {
     for (int Run = 0; Run < PaperRuns; ++Run)
       Tcp.push_back(restoreOnce(S, &Client, RestorePolicy{}));
 
-    FaultInjectingTransport Faulty(Client, lossyPlan(7));
+    FaultInjectingTransport Faulty(Client, lossyPlan(7), /*DelayMs=*/1);
     for (int Run = 0; Run < PaperRuns; ++Run)
       Lossy.push_back(restoreOnce(S, &Faulty, patientPolicy()));
-    size_t Injected = Faulty.stats().Injected;
+    size_t Injected = Faulty.counts().injected();
     (*Net)->stop();
 
     Summary L = summarize(Loop);

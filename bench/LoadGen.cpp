@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -296,9 +295,7 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
                              : 0;
 
   Report.MaxConcurrentSessions = PeakSessions.load();
-  Report.FaultsInjected = Config.FaultPerMille
-                              ? FaultyRecords.stats().Injected
-                              : 0;
+  Report.FaultsInjected = FaultyRecords.counts().injected();
   Report.Server = Server.stats();
   Report.Reactor = Tcp->stats();
   Report.MaxConcurrentConnections = Report.Reactor.MaxConcurrentConnections;
@@ -306,70 +303,46 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
   return Report;
 }
 
-std::string elide::loadgen::renderLoadGenJson(const LoadGenReport &R) {
-  char Buf[8192];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\n"
-      "  \"bench\": \"provisioning_loadgen\",\n"
-      "  \"version\": 3,\n"
-      "  \"config\": {\n"
-      "    \"mode\": \"%s\",\n"
-      "    \"duration_ms\": %d,\n"
-      "    \"workers\": %zu,\n"
-      "    \"connections\": %zu,\n"
-      "    \"target_sessions\": %zu,\n"
-      "    \"arrival_per_sec\": %.1f,\n"
-      "    \"session_shards\": %zu,\n"
-      "    \"fault_seed\": %llu,\n"
-      "    \"fault_per_mille\": %u,\n"
-      "    \"force_poll\": %s\n"
-      "  },\n"
-      "  \"results\": {\n"
-      "    \"restores_total\": %zu,\n"
-      "    \"restores_failed\": %zu,\n"
-      "    \"duration_s\": %.3f,\n"
-      "    \"restores_per_sec\": %.2f,\n"
-      "    \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, "
-      "\"mean\": %.3f},\n"
-      "    \"shed_rate\": %.4f,\n"
-      "    \"max_concurrent_sessions\": %zu,\n"
-      "    \"max_concurrent_connections\": %zu,\n"
-      "    \"faults_injected\": %zu,\n"
-      "    \"server\": {\"handshakes_completed\": %zu, "
-      "\"live_sessions\": %zu, \"sessions_evicted\": %zu, "
-      "\"frames_served\": %zu, "
-      "\"connections_accepted\": %zu, \"connections_shed\": %zu, "
-      "\"read_timeouts\": %zu, \"write_timeouts\": %zu, "
-      "\"used_epoll\": %s, \"wakeups\": %zu}\n"
-      "  }\n"
-      "}\n",
-      R.Config.Mode == LoadGenMode::Open ? "open" : "closed",
-      R.Config.DurationMs, R.Config.Workers, R.Config.Connections,
-      R.Config.TargetSessions, R.Config.ArrivalPerSec, R.Config.SessionShards,
-      static_cast<unsigned long long>(R.Config.FaultSeed),
-      R.Config.FaultPerMille, R.Config.ForcePollBackend ? "true" : "false",
-      R.RestoresTotal, R.RestoresFailed, R.DurationS, R.RestoresPerSec,
-      R.LatencyMs.P50, R.LatencyMs.P95, R.LatencyMs.P99, R.LatencyMs.Mean,
-      R.ShedRate, R.MaxConcurrentSessions,
-      R.MaxConcurrentConnections, R.FaultsInjected,
-      R.Server.HandshakesCompleted, R.Server.LiveSessions,
-      R.Server.SessionsEvicted,
-      R.Reactor.FramesServed, R.Reactor.ConnectionsAccepted,
-      R.Reactor.ConnectionsShed, R.Reactor.ReadTimeouts,
-      R.Reactor.WriteTimeouts, R.Reactor.UsedEpoll ? "true" : "false",
-      R.Reactor.Wakeups);
-  return Buf;
-}
-
-Error elide::loadgen::writeLoadGenJson(const LoadGenReport &Report,
-                                       const std::string &Path) {
-  std::string Json = renderLoadGenJson(Report);
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return makeError("cannot open " + Path + " for writing");
-  size_t Wrote = std::fwrite(Json.data(), 1, Json.size(), F);
-  if (std::fclose(F) != 0 || Wrote != Json.size())
-    return makeError("short write to " + Path);
-  return Error::success();
+bench::Report elide::loadgen::provisioningMetrics(const LoadGenReport &R) {
+  const LoadGenConfig &C = R.Config;
+  bench::Report Json("provisioning_loadgen");
+  Json.add("config.open_loop", C.Mode == LoadGenMode::Open, "bool");
+  Json.add("config.duration_ms", C.DurationMs, "ms");
+  Json.add("config.workers", C.Workers, "thread");
+  Json.add("config.connections", C.Connections, "conn");
+  Json.add("config.target_sessions", C.TargetSessions, "session");
+  Json.add("config.arrival_per_sec", C.ArrivalPerSec, "restore/s");
+  Json.add("config.session_shards", C.SessionShards, "shard");
+  Json.add("config.max_sessions", C.MaxSessions, "session");
+  Json.add("config.server_workers", C.ServerWorkers, "thread");
+  Json.add("config.max_connections", C.MaxConnections, "conn");
+  Json.add("config.fault_seed", static_cast<double>(C.FaultSeed), "seed");
+  Json.add("config.fault_per_mille", C.FaultPerMille, "permille");
+  Json.add("config.force_poll", C.ForcePollBackend, "bool");
+  Json.add("config.seed", static_cast<double>(C.Seed), "seed");
+  Json.add("restores_total", R.RestoresTotal, "restore");
+  Json.add("restores_failed", R.RestoresFailed, "restore");
+  Json.add("duration_s", R.DurationS, "s");
+  Json.add("restores_per_sec", R.RestoresPerSec, "restore/s");
+  Json.add("latency_ms.p50", R.LatencyMs.P50, "ms");
+  Json.add("latency_ms.p95", R.LatencyMs.P95, "ms");
+  Json.add("latency_ms.p99", R.LatencyMs.P99, "ms");
+  Json.add("latency_ms.mean", R.LatencyMs.Mean, "ms");
+  Json.add("shed_rate", R.ShedRate, "ratio");
+  Json.add("max_concurrent_sessions", R.MaxConcurrentSessions, "session");
+  Json.add("max_concurrent_connections", R.MaxConcurrentConnections, "conn");
+  Json.add("faults_injected", R.FaultsInjected, "fault");
+  Json.add("server.handshakes_completed", R.Server.HandshakesCompleted,
+           "handshake");
+  Json.add("server.live_sessions", R.Server.LiveSessions, "session");
+  Json.add("server.sessions_evicted", R.Server.SessionsEvicted, "session");
+  Json.add("server.frames_served", R.Reactor.FramesServed, "frame");
+  Json.add("server.connections_accepted", R.Reactor.ConnectionsAccepted,
+           "conn");
+  Json.add("server.connections_shed", R.Reactor.ConnectionsShed, "conn");
+  Json.add("server.read_timeouts", R.Reactor.ReadTimeouts, "timeout");
+  Json.add("server.write_timeouts", R.Reactor.WriteTimeouts, "timeout");
+  Json.add("server.used_epoll", R.Reactor.UsedEpoll, "bool");
+  Json.add("server.wakeups", R.Reactor.Wakeups, "wakeup");
+  return Json;
 }

@@ -27,6 +27,7 @@
 #ifndef SGXELIDE_BENCH_LOADGEN_H
 #define SGXELIDE_BENCH_LOADGEN_H
 
+#include "bench/Report.h"
 #include "server/AuthServer.h"
 #include "server/Reactor.h"
 
@@ -99,11 +100,10 @@ struct LoadGenReport {
 /// Runs one load generation pass (server + clients, all in-process).
 Expected<LoadGenReport> runProvisioningLoadGen(const LoadGenConfig &Config);
 
-/// Renders the report as the BENCH_provisioning.json document.
-std::string renderLoadGenJson(const LoadGenReport &Report);
-
-/// Renders and writes the report to \p Path.
-Error writeLoadGenJson(const LoadGenReport &Report, const std::string &Path);
+/// The report as the BENCH_provisioning.json document, in the shared
+/// `{"bench", "metrics"}` shape (bench/Report.h); the run's settings are
+/// its `config.*` metrics.
+bench::Report provisioningMetrics(const LoadGenReport &Report);
 
 } // namespace loadgen
 } // namespace elide

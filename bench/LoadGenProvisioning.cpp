@@ -156,11 +156,11 @@ int main(int Argc, char **Argv) {
                  Report.errorMessage().c_str());
     return 1;
   }
-  if (Error E = writeLoadGenJson(*Report, OutPath)) {
+  bench::Report Json = provisioningMetrics(*Report);
+  std::fputs(Json.render().c_str(), stdout);
+  if (Error E = Json.write(OutPath)) {
     std::fprintf(stderr, "loadgen: %s\n", E.message().c_str());
     return 1;
   }
-  std::fputs(renderLoadGenJson(*Report).c_str(), stdout);
-  std::fprintf(stderr, "wrote %s\n", OutPath.c_str());
   return 0;
 }

@@ -6,6 +6,7 @@
 
 #include "elide/Supervisor.h"
 
+#include "sgx/EnclaveChaos.h"
 #include "support/Backoff.h"
 
 #include <chrono>
@@ -175,8 +176,7 @@ Error EnclaveSupervisor::start() {
 Expected<uint64_t> EnclaveSupervisor::restorePassLocked() {
   // The injector may fail the whole pass; the server-unreachable status
   // is the honest stand-in (retryable by the shared table).
-  if (Chaos && Chaos->armRestore(Host.sealedPath()) ==
-                   sgx::EnclaveFaultKind::RestoreFail)
+  if (Chaos && Chaos->armRestore(Host.sealedPath()) == FaultKind::RestoreFail)
     return RestoreServerUnreachable;
   return Host.restore(*Live, Config.Restore);
 }
@@ -406,15 +406,14 @@ EnclaveSupervisor::ecallImpl(const SupervisorTicket *Ticket,
             std::to_string(Generation.load()) +
             " is serving; re-attest to the rebuilt enclave");
   }
-  sgx::EnclaveFaultKind Kind =
-      Chaos ? Chaos->armEcall(*Live, Name) : sgx::EnclaveFaultKind::None;
+  FaultKind Kind = Chaos ? Chaos->armEcall(*Live, Name) : FaultKind::None;
   uint64_t SavedBudget = Live->instructionBudget();
-  if (Kind == sgx::EnclaveFaultKind::BudgetClamp)
+  if (Kind == FaultKind::BudgetClamp)
     Live->setInstructionBudget(Chaos->clampBudget());
   EcallOwner.store(std::this_thread::get_id());
   Expected<sgx::EcallResult> R = Live->ecall(Name, Input, OutputCapacity);
   EcallOwner.store(std::thread::id());
-  if (Kind == sgx::EnclaveFaultKind::BudgetClamp && Live)
+  if (Kind == FaultKind::BudgetClamp && Live)
     Live->setInstructionBudget(SavedBudget);
   if (!R)
     return R; // Host-side misuse (unknown ecall, oversized buffer): the

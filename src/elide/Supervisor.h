@@ -43,7 +43,6 @@
 #define SGXELIDE_ELIDE_SUPERVISOR_H
 
 #include "elide/HostRuntime.h"
-#include "sgx/EnclaveChaos.h"
 
 #include <atomic>
 #include <functional>
@@ -54,6 +53,10 @@
 #include <vector>
 
 namespace elide {
+
+namespace sgx {
+class EnclaveChaos;
+} // namespace sgx
 
 /// Where a supervised enclave is in its life. See the file comment for
 /// the transition diagram.

@@ -11,128 +11,57 @@
 
 using namespace elide;
 
-const char *elide::faultKindName(FaultKind Kind) {
-  switch (Kind) {
-  case FaultKind::None:
-    return "none";
-  case FaultKind::Drop:
-    return "drop";
-  case FaultKind::Delay:
-    return "delay";
-  case FaultKind::Truncate:
-    return "truncate";
-  case FaultKind::Corrupt:
-    return "corrupt";
-  case FaultKind::DisconnectMidFrame:
-    return "disconnect-mid-frame";
-  case FaultKind::DuplicateRequest:
-    return "duplicate-request";
-  }
-  return "unknown";
-}
-
-std::vector<FaultKind> elide::allFaultKinds() {
-  return {FaultKind::Drop,     FaultKind::Delay,
-          FaultKind::Truncate, FaultKind::Corrupt,
-          FaultKind::DisconnectMidFrame, FaultKind::DuplicateRequest};
-}
-
-FaultInjectingTransport::FaultInjectingTransport(Transport &Inner,
-                                                 FaultPlan Plan)
-    : Inner(Inner), Plan(std::move(Plan)),
-      Rng(this->Plan.Seed ^ 0x4641554c54ULL) {}
-
-/// Decides this call's fault. Caller holds the mutex.
-FaultKind FaultInjectingTransport::planNext() {
-  size_t Index = CallIndex++;
-  ++Stats.Calls;
-  if (Index < Plan.Script.size())
-    return Plan.Script[Index];
-  if (Plan.FaultPerMille == 0 || Rng.nextBelow(1000) >= Plan.FaultPerMille)
-    return FaultKind::None;
-  const std::vector<FaultKind> Kinds =
-      Plan.RateKinds.empty() ? allFaultKinds() : Plan.RateKinds;
-  return Kinds[Rng.nextBelow(Kinds.size())];
-}
-
 Expected<Bytes> FaultInjectingTransport::roundTrip(BytesView Request) {
-  FaultKind Kind;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Kind = planNext();
-    if (Kind != FaultKind::None)
-      ++Stats.Injected;
-  }
-
-  auto bump = [this](size_t FaultStats::*Member) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++(Stats.*Member);
-  };
-
+  FaultKind Kind = Schedule.next(TransportFaultKinds);
   switch (Kind) {
-  case FaultKind::None:
-    return Inner.roundTrip(Request);
-
   case FaultKind::Drop:
     // The request evaporates before reaching the server.
-    bump(&FaultStats::Dropped);
+    Schedule.applied(Kind);
     return makeTransportError(TransportErrc::InjectedFault,
                               "injected fault: request dropped");
 
-  case FaultKind::Delay: {
-    bump(&FaultStats::Delayed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(Plan.DelayMs));
+  case FaultKind::Delay:
+    Schedule.applied(Kind);
+    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
     return Inner.roundTrip(Request);
-  }
 
   case FaultKind::Truncate: {
-    bump(&FaultStats::Truncated);
     ELIDE_TRY(Bytes Response, Inner.roundTrip(Request));
     if (Response.size() > 1) {
-      size_t Keep;
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        Keep = 1 + Rng.nextBelow(Response.size() - 1);
-      }
-      Response.resize(Keep);
+      Response.resize(1 + Schedule.effectBelow(Response.size() - 1));
+      Schedule.applied(Kind);
     }
     return Response;
   }
 
   case FaultKind::Corrupt: {
-    bump(&FaultStats::Corrupted);
     ELIDE_TRY(Bytes Response, Inner.roundTrip(Request));
     if (!Response.empty()) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Response[Rng.nextBelow(Response.size())] ^=
-          static_cast<uint8_t>(1 + Rng.nextBelow(255));
+      size_t At = Schedule.effectBelow(Response.size());
+      Response[At] ^= static_cast<uint8_t>(1 + Schedule.effectBelow(255));
+      Schedule.applied(Kind);
     }
     return Response;
   }
 
-  case FaultKind::DisconnectMidFrame: {
+  case FaultKind::DisconnectMidFrame:
     // The server processes the request (its state advances), but the
     // connection dies before the response frame completes -- the nastiest
     // case for client-side recovery.
-    bump(&FaultStats::Disconnected);
+    Schedule.applied(Kind);
     (void)Inner.roundTrip(Request);
     return makeTransportError(TransportErrc::PeerClosed,
                               "injected fault: peer disconnected mid-frame");
-  }
 
-  case FaultKind::DuplicateRequest: {
+  case FaultKind::DuplicateRequest:
     // A retransmission bug / aggressive middlebox delivers the request
     // twice; the client consumes one response. Exercises server-side
     // idempotency.
-    bump(&FaultStats::Duplicated);
+    Schedule.applied(Kind);
     (void)Inner.roundTrip(Request);
     return Inner.roundTrip(Request);
-  }
-  }
-  return makeError("unhandled fault kind");
-}
 
-FaultStats FaultInjectingTransport::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
+  default:
+    return Inner.roundTrip(Request);
+  }
 }

@@ -8,15 +8,10 @@
 /// A `Transport` decorator that injects network failures between the
 /// restorer and the authentication server: dropped requests, delays,
 /// truncated / corrupted responses, disconnects after the request was
-/// delivered, and duplicated requests. Faults are seeded and
-/// deterministic, so a failing test or bench run replays exactly.
-///
-/// Two scheduling modes compose:
-///  - a *script*: the Nth roundTrip suffers `Script[N]` (then pass-through)
-///    -- the fault-matrix tests use this for precise placement;
-///  - a *rate*: each unscripted call draws from the seeded generator and
-///    suffers a random planned kind with probability `FaultPerMille/1000`
-///    -- the stress tests use this to soak the retry paths.
+/// delivered, and duplicated requests. Each round trip is one point of a
+/// `FaultSchedule` (support/FaultSchedule.h), so a script places a fault
+/// on an exact round trip (the fault-matrix tests) and a rate soaks the
+/// retry paths (the stress tests), and a failing run replays exactly.
 ///
 /// The decorator is thread-safe and wraps any `Transport` (loopback in
 /// tests and benches, the TCP client in soak runs).
@@ -26,76 +21,35 @@
 #ifndef SGXELIDE_SERVER_FAULTINJECTION_H
 #define SGXELIDE_SERVER_FAULTINJECTION_H
 
+#include "crypto/Drbg.h"
 #include "server/Transport.h"
+#include "support/FaultSchedule.h"
 
-#include <mutex>
-#include <vector>
+#include <array>
 
 namespace elide {
 
-/// The fault vocabulary.
-enum class FaultKind {
-  None,               ///< Pass through untouched.
-  Drop,               ///< Request never reaches the server.
-  Delay,              ///< Exchange completes after an added delay.
-  Truncate,           ///< Response arrives cut short.
-  Corrupt,            ///< Response arrives with a flipped byte.
-  DisconnectMidFrame, ///< Server got the request; the response is lost.
-  DuplicateRequest,   ///< Request delivered twice (client reads one reply).
-};
-
-/// Human-readable fault name (test output).
-const char *faultKindName(FaultKind Kind);
-
-/// All injectable kinds, for matrix tests.
-std::vector<FaultKind> allFaultKinds();
-
-/// What to inject and when.
-struct FaultPlan {
-  /// Seed for every random draw (positions, bytes, rate rolls).
-  uint64_t Seed = 1;
-  /// Per-call script; call N (0-based) suffers Script[N]. Calls past the
-  /// end fall back to the rate mode.
-  std::vector<FaultKind> Script;
-  /// Probability, in per-mille, that an unscripted call faults.
-  uint32_t FaultPerMille = 0;
-  /// Kinds eligible for rate-mode injection (empty = all kinds).
-  std::vector<FaultKind> RateKinds;
-  /// Added latency for FaultKind::Delay.
-  int DelayMs = 5;
-};
-
-/// Injection counters.
-struct FaultStats {
-  size_t Calls = 0;
-  size_t Injected = 0;
-  size_t Dropped = 0;
-  size_t Delayed = 0;
-  size_t Truncated = 0;
-  size_t Corrupted = 0;
-  size_t Disconnected = 0;
-  size_t Duplicated = 0;
-};
+/// The kinds a round trip can apply; the fault matrix runs each.
+inline constexpr std::array<FaultKind, 6> TransportFaultKinds = {
+    FaultKind::Drop, FaultKind::Delay, FaultKind::Truncate, FaultKind::Corrupt,
+    FaultKind::DisconnectMidFrame, FaultKind::DuplicateRequest};
 
 /// The decorator. Owns no transport -- the inner one must outlive it.
 class FaultInjectingTransport : public Transport {
 public:
-  FaultInjectingTransport(Transport &Inner, FaultPlan Plan);
+  /// \p DelayMs is the latency a `Delay` adds.
+  FaultInjectingTransport(Transport &Inner, FaultPlan Plan, int DelayMs = 5)
+      : Inner(Inner), Schedule(std::move(Plan)), DelayMs(DelayMs) {}
 
   Expected<Bytes> roundTrip(BytesView Request) override;
 
-  /// Snapshot of the injection counters.
-  FaultStats stats() const;
+  /// Round trips seen and faults applied.
+  FaultCounts counts() const { return Schedule.counts(); }
 
 private:
-  FaultKind planNext();
-
   Transport &Inner;
-  FaultPlan Plan;
-  mutable std::mutex Mutex;
-  Drbg Rng;         ///< Guarded by Mutex.
-  size_t CallIndex = 0; ///< Guarded by Mutex.
-  FaultStats Stats;     ///< Guarded by Mutex.
+  FaultSchedule<Drbg> Schedule;
+  const int DelayMs;
 };
 
 } // namespace elide

@@ -8,103 +8,19 @@
 
 #include "support/File.h"
 
-#include <algorithm>
-
 using namespace elide;
 using namespace elide::sgx;
 
-const char *sgx::enclaveFaultKindName(EnclaveFaultKind Kind) {
-  switch (Kind) {
-  case EnclaveFaultKind::None:
-    return "none";
-  case EnclaveFaultKind::TrapScribble:
-    return "trap-scribble";
-  case EnclaveFaultKind::BudgetClamp:
-    return "budget-clamp";
-  case EnclaveFaultKind::RestoreFail:
-    return "restore-fail";
-  case EnclaveFaultKind::SealedCorrupt:
-    return "sealed-corrupt";
-  }
-  return "?";
-}
+namespace {
 
-std::vector<EnclaveFaultKind> sgx::allEnclaveFaultKinds() {
-  return {EnclaveFaultKind::TrapScribble, EnclaveFaultKind::BudgetClamp,
-          EnclaveFaultKind::RestoreFail, EnclaveFaultKind::SealedCorrupt};
-}
+constexpr FaultKind EcallKinds[] = {FaultKind::TrapScribble,
+                                    FaultKind::BudgetClamp};
+constexpr FaultKind RestoreKinds[] = {FaultKind::RestoreFail,
+                                      FaultKind::SealedCorrupt};
 
-EnclaveChaos::EnclaveChaos(EnclaveFaultPlan P)
-    : Plan(std::move(P)), Rng(Plan.Seed) {}
-
-EnclaveFaultKind
-EnclaveChaos::planNext(const std::vector<EnclaveFaultKind> &Applicable) {
-  size_t Index = PointIndex++;
-  auto applicable = [&](EnclaveFaultKind K) {
-    return std::find(Applicable.begin(), Applicable.end(), K) !=
-           Applicable.end();
-  };
-  if (Index < Plan.Script.size()) {
-    EnclaveFaultKind K = Plan.Script[Index];
-    return applicable(K) ? K : EnclaveFaultKind::None;
-  }
-  if (Plan.FaultPerMille == 0)
-    return EnclaveFaultKind::None;
-  // Consume the roll draw regardless of the outcome so the sequence of
-  // draws depends only on the number of points, not on what fired.
-  bool Fire = Rng.nextBelow(1000) < Plan.FaultPerMille;
-  std::vector<EnclaveFaultKind> Pool =
-      Plan.RateKinds.empty() ? allEnclaveFaultKinds() : Plan.RateKinds;
-  EnclaveFaultKind K = Pool[Rng.nextBelow(Pool.size())];
-  if (!Fire || !applicable(K))
-    return EnclaveFaultKind::None;
-  return K;
-}
-
-EnclaveFaultKind EnclaveChaos::armEcall(Enclave &E, const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ++Stats.EcallPoints;
-  EnclaveFaultKind K = planNext(
-      {EnclaveFaultKind::TrapScribble, EnclaveFaultKind::BudgetClamp});
-  if (K == EnclaveFaultKind::TrapScribble) {
-    if (scribbleEcallEntry(E, Name))
-      return EnclaveFaultKind::None; // Unknown ecall: nothing to break.
-    ++Stats.TrapScribbles;
-  } else if (K == EnclaveFaultKind::BudgetClamp) {
-    ++Stats.BudgetClamps;
-  } else {
-    return K;
-  }
-  ++Stats.Injected;
-  return K;
-}
-
-EnclaveFaultKind EnclaveChaos::armRestore(const std::string &SealedPath) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ++Stats.RestorePoints;
-  EnclaveFaultKind K = planNext(
-      {EnclaveFaultKind::RestoreFail, EnclaveFaultKind::SealedCorrupt});
-  if (K == EnclaveFaultKind::SealedCorrupt) {
-    if (SealedPath.empty() || !fileExists(SealedPath))
-      return EnclaveFaultKind::None; // No cache on disk to damage.
-    if (corruptSealedCache(SealedPath, Rng.next64()))
-      return EnclaveFaultKind::None;
-    ++Stats.SealedCorruptions;
-  } else if (K == EnclaveFaultKind::RestoreFail) {
-    ++Stats.RestoreFails;
-  } else {
-    return K;
-  }
-  ++Stats.Injected;
-  return K;
-}
-
-EnclaveChaosStats EnclaveChaos::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
-}
-
-Error EnclaveChaos::scribbleEcallEntry(Enclave &E, const std::string &Name) {
+/// Zeroes the first instruction slot of ecall \p Name: the next entry
+/// raises a real IllegalInstruction trap at the entry PC.
+Error scribbleEcallEntry(Enclave &E, const std::string &Name) {
   ELIDE_TRY(uint64_t Addr, E.ecallAddress(Name));
   // Opcode 0 is the ISA's deliberate illegal encoding, so one zeroed
   // 8-byte instruction slot at the entry raises IllegalInstruction at
@@ -115,15 +31,36 @@ Error EnclaveChaos::scribbleEcallEntry(Enclave &E, const std::string &Name) {
   return E.writeMemory(Addr, Zeros);
 }
 
-Error EnclaveChaos::corruptSealedCache(const std::string &Path,
-                                       uint64_t Seed) {
+/// Flips one byte of the sealed-cache container at \p Path. Any flipped
+/// bit breaks the container CRC, so the next read quarantines the blob;
+/// drawing the position varies whether the header or the sealed payload
+/// absorbs the damage.
+Error corruptSealedCache(const std::string &Path,
+                         FaultSchedule<Drbg> &Schedule) {
+  if (Path.empty() || !fileExists(Path))
+    return makeError("no sealed cache on disk");
   ELIDE_TRY(Bytes Container, readFileBytes(Path));
   if (Container.empty())
     return makeError("sealed cache at " + Path + " is empty");
-  // Any single flipped bit breaks the container CRC; drawing the position
-  // from the seed varies whether the header or the sealed payload absorbs
-  // the damage.
-  Drbg PosRng(Seed);
-  Container[PosRng.nextBelow(Container.size())] ^= 0x40;
+  Container[Schedule.effectBelow(Container.size())] ^= 0x40;
   return writeFileBytes(Path, Container);
+}
+
+} // namespace
+
+FaultKind EnclaveChaos::armEcall(Enclave &E, const std::string &Name) {
+  FaultKind K = Schedule.next(EcallKinds);
+  if (K == FaultKind::TrapScribble && scribbleEcallEntry(E, Name))
+    return FaultKind::None; // Unknown ecall: nothing to break.
+  Schedule.applied(K);
+  return K;
+}
+
+FaultKind EnclaveChaos::armRestore(const std::string &SealedPath) {
+  FaultKind K = Schedule.next(RestoreKinds);
+  if (K == FaultKind::SealedCorrupt &&
+      corruptSealedCache(SealedPath, Schedule))
+    return FaultKind::None; // No cache on disk to damage.
+  Schedule.applied(K);
+  return K;
 }

@@ -10,20 +10,12 @@
 /// breaks the *enclave* under the supervisor -- scribbled ecall entry
 /// points (a real IllegalInstruction trap at a real PC), clamped
 /// instruction budgets (a real BudgetExhausted runaway), failed restore
-/// exchanges, and corrupted sealed-cache blobs. Faults are seeded and
-/// deterministic, so a failing lifecycle soak replays exactly.
+/// exchanges, and corrupted sealed-cache blobs.
 ///
-/// The same two scheduling modes compose:
-///  - a *script*: the Nth injection point suffers `Script[N]` (then
-///    pass-through) -- the classification tests use this for precise
-///    placement;
-///  - a *rate*: each unscripted point draws from the seeded generator and
-///    suffers a random planned kind with probability `FaultPerMille/1000`
-///    -- the lifecycle soak uses this to storm the recovery paths.
-///
-/// A kind inapplicable at a point (e.g. `RestoreFail` at an ecall point)
-/// degrades to `None`; the script slot is still consumed, so placement
-/// stays deterministic. `EnclaveSupervisor::setChaos` is the consumer.
+/// Both run on one `FaultSchedule` (support/FaultSchedule.h). Every ecall
+/// and every restore pass is one point of it: an ecall point can apply
+/// TrapScribble and BudgetClamp, a restore point RestoreFail and
+/// SealedCorrupt. `EnclaveSupervisor::setChaos` is the consumer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,100 +24,41 @@
 
 #include "crypto/Drbg.h"
 #include "sgx/Enclave.h"
+#include "support/FaultSchedule.h"
 
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace elide {
 namespace sgx {
 
-/// The execution-side fault vocabulary.
-enum class EnclaveFaultKind {
-  None,          ///< Pass through untouched.
-  TrapScribble,  ///< Zero an ecall entry: the next entry traps Illegal.
-  BudgetClamp,   ///< Clamp the instruction budget: a runaway ecall.
-  RestoreFail,   ///< The provisioning exchange under a restore fails.
-  SealedCorrupt, ///< Flip a byte in the on-disk sealed-cache container.
-};
-
-/// Human-readable fault name (test output).
-const char *enclaveFaultKindName(EnclaveFaultKind Kind);
-
-/// All injectable kinds, for matrix tests.
-std::vector<EnclaveFaultKind> allEnclaveFaultKinds();
-
-/// What to inject and when.
-struct EnclaveFaultPlan {
-  /// Seed for every random draw (rate rolls, kind picks, byte positions).
-  uint64_t Seed = 1;
-  /// Per-point script; injection point N (0-based) suffers Script[N].
-  /// Points past the end fall back to the rate mode.
-  std::vector<EnclaveFaultKind> Script;
-  /// Probability, in per-mille, that an unscripted point faults.
-  uint32_t FaultPerMille = 0;
-  /// Kinds eligible for rate-mode injection (empty = all kinds).
-  std::vector<EnclaveFaultKind> RateKinds;
-  /// Instruction budget a BudgetClamp ecall runs under.
-  uint64_t ClampBudget = 16;
-};
-
-/// Injection counters.
-struct EnclaveChaosStats {
-  size_t EcallPoints = 0;       ///< armEcall consultations.
-  size_t RestorePoints = 0;     ///< armRestore consultations.
-  size_t Injected = 0;          ///< Faults actually applied.
-  size_t TrapScribbles = 0;
-  size_t BudgetClamps = 0;
-  size_t RestoreFails = 0;
-  size_t SealedCorruptions = 0;
-};
-
-/// The seeded decision engine plus its effect appliers. Thread-safe.
+/// The seeded schedule plus the enclave-side effects. Thread-safe.
 class EnclaveChaos {
 public:
-  explicit EnclaveChaos(EnclaveFaultPlan Plan);
+  /// \p ClampBudget is the instruction budget a BudgetClamp ecall runs
+  /// under.
+  explicit EnclaveChaos(FaultPlan Plan, uint64_t ClampBudget = 16)
+      : Schedule(std::move(Plan)), ClampBudget(ClampBudget) {}
 
   /// Consulted by the supervisor before dispatching an ecall. May zero
   /// the entry of \p Name inside \p E (TrapScribble). Returns the kind
   /// actually armed: for BudgetClamp the supervisor applies the clamp
-  /// (see `clampBudget`); anything inapplicable degrades to None.
-  EnclaveFaultKind armEcall(Enclave &E, const std::string &Name);
+  /// (see `clampBudget`); an unknown ecall arms None.
+  FaultKind armEcall(Enclave &E, const std::string &Name);
 
   /// Consulted by the supervisor before a restore attempt. May flip a
   /// byte of the sealed-cache container at \p SealedPath (SealedCorrupt;
-  /// degrades to None when the path is empty or the file is missing).
-  /// RestoreFail is returned for the supervisor to apply at its exchange
-  /// seam.
-  EnclaveFaultKind armRestore(const std::string &SealedPath);
+  /// None when the path is empty or the file is missing). RestoreFail is
+  /// returned for the supervisor to apply at its exchange seam.
+  FaultKind armRestore(const std::string &SealedPath);
 
-  /// The budget a BudgetClamp ecall runs under.
-  uint64_t clampBudget() const { return Plan.ClampBudget; }
+  uint64_t clampBudget() const { return ClampBudget; }
 
-  /// Snapshot of the injection counters.
-  EnclaveChaosStats stats() const;
-
-  /// Zeroes the first instruction slot of ecall \p Name: the next entry
-  /// raises a real IllegalInstruction trap at the entry PC (opcode 0 is
-  /// the ISA's deliberate illegal encoding). Exposed for direct use in
-  /// tests.
-  static Error scribbleEcallEntry(Enclave &E, const std::string &Name);
-
-  /// Flips one payload byte of the sealed-cache container at \p Path
-  /// (position drawn from \p Seed), so the next read fails its CRC and
-  /// quarantines the blob.
-  static Error corruptSealedCache(const std::string &Path, uint64_t Seed);
+  /// Points seen (ecalls and restore passes) and faults applied.
+  FaultCounts counts() const { return Schedule.counts(); }
 
 private:
-  /// Draws the next planned kind for a point; only kinds in
-  /// \p Applicable can be injected (others consume the slot as None).
-  EnclaveFaultKind planNext(const std::vector<EnclaveFaultKind> &Applicable);
-
-  EnclaveFaultPlan Plan;
-  mutable std::mutex Mutex;
-  Drbg Rng;             ///< Guarded by Mutex.
-  size_t PointIndex = 0; ///< Guarded by Mutex.
-  EnclaveChaosStats Stats; ///< Guarded by Mutex.
+  FaultSchedule<Drbg> Schedule;
+  const uint64_t ClampBudget;
 };
 
 } // namespace sgx

@@ -24,6 +24,7 @@
 #include "elide/Supervisor.h"
 #include "server/AuthServer.h"
 #include "server/Transport.h"
+#include "sgx/EnclaveChaos.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/File.h"
 #include "tests/framework/ChaosSeed.h"
@@ -248,9 +249,9 @@ TEST(LifecycleFaultTest, ScribbledEntryClassifiesAsVmTrapAndRecovers) {
   EnclaveSupervisor Sup(R->factory(), *R->Host, fastRecovery());
   ASSERT_FALSE(Sup.start());
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::TrapScribble};
+  Plan.Script = {FaultKind::TrapScribble};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 
@@ -286,11 +287,10 @@ TEST(LifecycleFaultTest, BudgetRunawayIsCaughtByWatchdog) {
   EnclaveSupervisor Sup(R->factory(), *R->Host, fastRecovery());
   ASSERT_FALSE(Sup.start());
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::BudgetClamp};
-  Plan.ClampBudget = 4;
-  sgx::EnclaveChaos Chaos(Plan);
+  Plan.Script = {FaultKind::BudgetClamp};
+  sgx::EnclaveChaos Chaos(Plan, /*ClampBudget=*/4);
   Sup.setChaos(&Chaos);
 
   Expected<sgx::EcallResult> Faulted =
@@ -314,9 +314,9 @@ TEST(LifecycleFaultTest, FailedRestoreQuarantinesThenRecovers) {
   ASSERT_NE(R, nullptr);
   EnclaveSupervisor Sup(R->factory(), *R->Host, fastRecovery());
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::RestoreFail};
+  Plan.Script = {FaultKind::RestoreFail};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 
@@ -351,12 +351,11 @@ TEST(LifecycleFaultTest, SealedCacheCorruptionIsContained) {
   ASSERT_FALSE(Sup.start());
   ASSERT_TRUE(fileExists(Sealed)); // The restore sealed its secrets.
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
   // Point 0: the ecall is scribbled (forcing a recovery). Point 1: the
   // recovery's restore finds its sealed cache corrupted.
-  Plan.Script = {sgx::EnclaveFaultKind::TrapScribble,
-                 sgx::EnclaveFaultKind::SealedCorrupt};
+  Plan.Script = {FaultKind::TrapScribble, FaultKind::SealedCorrupt};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 
@@ -372,7 +371,7 @@ TEST(LifecycleFaultTest, SealedCacheCorruptionIsContained) {
   EXPECT_EQ(S.FaultsSealedCacheCorruption, 1u);
   EXPECT_EQ(S.Recoveries, 1u);
   EXPECT_EQ(HostQuarantines, 1u); // Both observers saw it (tap + callback).
-  EXPECT_EQ(Chaos.stats().SealedCorruptions, 1u);
+  EXPECT_EQ(Chaos.counts().of(FaultKind::SealedCorrupt), 1u);
   // The corrupt container was moved aside, not deleted.
   EXPECT_FALSE(fileExists(Sealed));
   EXPECT_TRUE(fileExists(Sealed + ".quarantine"));
@@ -392,9 +391,9 @@ TEST(LifecycleFaultTest, QuarantineBackoffGatesRecovery) {
   Sup.setClock([&] { return Now; });
   ASSERT_FALSE(Sup.start());
 
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::TrapScribble};
+  Plan.Script = {FaultKind::TrapScribble};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 
@@ -431,10 +430,10 @@ TEST(LifecycleFaultTest, CrashLoopBreakerRetiresTheEnclave) {
   // Every ecall point faults (restore points pass: TrapScribble is not
   // applicable there), so recoveries land but service never does -- the
   // definition of a crash loop.
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
   Plan.FaultPerMille = 1000;
-  Plan.RateKinds = {sgx::EnclaveFaultKind::TrapScribble};
+  Plan.RateKinds = {FaultKind::TrapScribble};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 
@@ -470,9 +469,9 @@ TEST(LifecycleSessionTest, RecycledEnclaveStalesOldTickets) {
       Sup.ecall(*Ticket, "run_secret", le64Bytes(3), 8)));
 
   // The enclave faults and is recycled out from under the session.
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::TrapScribble};
+  Plan.Script = {FaultKind::TrapScribble};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
   ASSERT_FALSE(
@@ -547,11 +546,10 @@ TEST(LifecycleSoakTest, MixedFaultStormStaysAvailableAndClassifiesEverything) {
   // ~10% of injection points fault, all four classes eligible. The chaos
   // engine attaches after start() so the storm begins with a healthy,
   // sealed-cache-backed enclave.
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
   Plan.FaultPerMille = 100;
-  Plan.ClampBudget = 4;
-  sgx::EnclaveChaos Chaos(Plan);
+  sgx::EnclaveChaos Chaos(Plan, /*ClampBudget=*/4);
   Sup.setChaos(&Chaos);
 
   constexpr int Requests = 300, MaxAttempts = 5;
@@ -583,12 +581,12 @@ TEST(LifecycleSoakTest, MixedFaultStormStaysAvailableAndClassifiesEverything) {
   // Every injected fault maps 1:1 onto its typed class -- nothing is
   // misclassified, dropped, or double-counted.
   SupervisorStats S = Sup.stats();
-  sgx::EnclaveChaosStats C = Chaos.stats();
-  EXPECT_EQ(S.FaultsVmTrap, C.TrapScribbles);
-  EXPECT_EQ(S.FaultsBudgetRunaway, C.BudgetClamps);
-  EXPECT_EQ(S.FaultsRestoreFailure, C.RestoreFails);
-  EXPECT_EQ(S.FaultsSealedCacheCorruption, C.SealedCorruptions);
-  EXPECT_GT(C.Injected, 0u) << "the storm never fired; dead soak";
+  FaultCounts C = Chaos.counts();
+  EXPECT_EQ(S.FaultsVmTrap, C.of(FaultKind::TrapScribble));
+  EXPECT_EQ(S.FaultsBudgetRunaway, C.of(FaultKind::BudgetClamp));
+  EXPECT_EQ(S.FaultsRestoreFailure, C.of(FaultKind::RestoreFail));
+  EXPECT_EQ(S.FaultsSealedCacheCorruption, C.of(FaultKind::SealedCorrupt));
+  EXPECT_GT(C.injected(), 0u) << "the storm never fired; dead soak";
 
   // The breaker never tripped and the enclave kept regenerating.
   EXPECT_FALSE(S.CrashLoopTripped);

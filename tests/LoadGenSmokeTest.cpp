@@ -8,7 +8,7 @@
 /// A short in-process run of the provisioning load generator: two seconds
 /// of closed-loop load (or fewer, once the session target is hit), then
 /// structural checks on the report and on the BENCH_provisioning.json
-/// document it writes -- the same artifact the CI perf job uploads.
+/// document it writes -- the same artifact the CI server job uploads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +58,11 @@ TEST(LoadGenSmokeTest, ClosedLoopRunEmitsCompleteReport) {
             Report->RestoresTotal + Report->RestoresFailed);
   EXPECT_EQ(Report->Reactor.ReadTimeouts, 0u);
 
-  // The JSON artifact round-trips through disk with every required field.
+  // The JSON artifact round-trips through disk in the shared bench shape,
+  // with every required metric and the run's settings.
   std::string Path =
       ::testing::TempDir() + "BENCH_provisioning_smoke.json";
-  ASSERT_FALSE(static_cast<bool>(writeLoadGenJson(*Report, Path)));
+  ASSERT_FALSE(static_cast<bool>(provisioningMetrics(*Report).write(Path)));
   Expected<Bytes> Raw = readFileBytes(Path);
   ASSERT_TRUE(static_cast<bool>(Raw)) << Raw.errorMessage();
   std::string Json(Raw->begin(), Raw->end());
@@ -69,17 +70,21 @@ TEST(LoadGenSmokeTest, ClosedLoopRunEmitsCompleteReport) {
 
   EXPECT_EQ(Json.front(), '{');
   EXPECT_EQ(Json.substr(Json.size() - 2), "}\n");
-  for (const char *Field :
-       {"\"bench\": \"provisioning_loadgen\"", "\"restores_total\"",
-        "\"restores_per_sec\"", "\"p50\"", "\"p95\"", "\"p99\"",
-        "\"shed_rate\"", "\"handshakes_completed\"",
-        "\"max_concurrent_sessions\"", "\"max_concurrent_connections\"",
-        "\"duration_s\"", "\"restores_failed\""})
-    EXPECT_NE(Json.find(Field), std::string::npos)
-        << "missing field " << Field;
+  EXPECT_NE(
+      Json.find("\"bench\": \"provisioning_loadgen\",\n  \"metrics\": {"),
+      std::string::npos);
+  for (const char *Metric :
+       {"restores_total", "restores_failed", "duration_s", "restores_per_sec",
+        "latency_ms.p50", "latency_ms.p95", "latency_ms.p99", "shed_rate",
+        "server.handshakes_completed", "max_concurrent_sessions",
+        "max_concurrent_connections", "config.workers", "config.seed"})
+    EXPECT_NE(Json.find("\"" + std::string(Metric) + "\": {\"value\": "),
+              std::string::npos)
+        << "missing metric " << Metric;
 
   // Nonzero restores made it into the document (not just the struct).
-  EXPECT_EQ(Json.find("\"restores_total\": 0,"), std::string::npos);
+  EXPECT_EQ(Json.find("\"restores_total\": {\"value\": 0,"),
+            std::string::npos);
 }
 
 } // namespace

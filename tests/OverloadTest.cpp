@@ -24,6 +24,7 @@
 #include "server/AuthServer.h"
 #include "server/FaultInjection.h"
 #include "server/Transport.h"
+#include "sgx/EnclaveChaos.h"
 #include "sgx/EnclaveLoader.h"
 #include "support/AtomicFile.h"
 #include "support/File.h"
@@ -298,8 +299,8 @@ TEST(OverloadClientDeadlineTest, DeadlineStopsRetriesWithTypedError) {
   EXPECT_EQ(*Status, RestoreServerUnreachable);
   // The deadline, not the attempt budget, ended the loop -- quickly, and
   // said so once.
-  EXPECT_GE(Counted.stats().Calls, 1u);
-  EXPECT_LT(Counted.stats().Calls, static_cast<size_t>(Policy.MaxAttempts));
+  EXPECT_GE(Counted.counts().Points, 1u);
+  EXPECT_LT(Counted.counts().Points, static_cast<size_t>(Policy.MaxAttempts));
   EXPECT_LT(ElapsedMs, 2000.0);
   EXPECT_EQ(Events.count(TransportErrc::DeadlineExceeded), 1u);
   // The shared table agrees this is terminal: no caller loops on it.
@@ -326,7 +327,7 @@ TEST(OverloadClientDeadlineTest, BareFramesKeepRetryingToExhaustion) {
   Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{3});
   ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
   EXPECT_EQ(*Status, RestoreServerUnreachable);
-  EXPECT_EQ(Counted.stats().Calls, 3u);
+  EXPECT_EQ(Counted.counts().Points, 3u);
   EXPECT_EQ(Events.count(TransportErrc::DeadlineExceeded), 0u);
 }
 
@@ -520,9 +521,9 @@ TEST(OverloadSupervisorTest, RecoveryRestoresAreMarkedSheddable) {
   ASSERT_FALSE(writeFileBytes(SealedPath, encodeVersionedBlob(Bytes(64, 0x5a))));
 
   // Fault the enclave; the next caller drives quarantine -> recovery.
-  sgx::EnclaveFaultPlan Plan;
+  FaultPlan Plan;
   Plan.Seed = Seed.value();
-  Plan.Script = {sgx::EnclaveFaultKind::TrapScribble};
+  Plan.Script = {FaultKind::TrapScribble};
   sgx::EnclaveChaos Chaos(Plan);
   Sup.setChaos(&Chaos);
 

@@ -664,9 +664,8 @@ TEST(ChaosSoakTest, LossyFleetWithCacheAlwaysConvergesDeterministically) {
     PlanA.RateKinds = PlanB.RateKinds = {FaultKind::Drop, FaultKind::Delay,
                                          FaultKind::Truncate,
                                          FaultKind::DisconnectMidFrame};
-    PlanA.DelayMs = PlanB.DelayMs = 0;
-    FaultInjectingTransport LossyA(*F->Links[0], PlanA);
-    FaultInjectingTransport LossyB(*F->Links[1], PlanB);
+    FaultInjectingTransport LossyA(*F->Links[0], PlanA, /*DelayMs=*/0);
+    FaultInjectingTransport LossyB(*F->Links[1], PlanB, /*DelayMs=*/0);
 
     ProvisionerConfig Config;
     Config.Breaker.FailureThreshold = 2;

@@ -566,7 +566,7 @@ TEST(ReactorSoakTest, SeededFaultsOverRealSocketsStayCoherent) {
     T.join();
 
   // Faults really flowed, and most restores still made it through.
-  EXPECT_GT(Link.stats().Injected, 0u);
+  EXPECT_GT(Link.counts().injected(), 0u);
   EXPECT_GT(Restored.load(), static_cast<size_t>(Threads * PerThread / 2));
 
   // The server is still coherent after the storm: a clean exchange works.

@@ -398,7 +398,7 @@ TEST(TcpTransportTest, BadAddressIsNotRetried) {
   Expected<uint64_t> Status = Host.restore(**E, RestorePolicy{5});
   ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
   EXPECT_EQ(*Status, RestoreServerUnreachable);
-  EXPECT_EQ(Counted.stats().Calls, 1u);
+  EXPECT_EQ(Counted.counts().Points, 1u);
   EXPECT_EQ(transportErrcOf(Client.roundTrip(Bytes{1})),
             TransportErrc::BadAddress);
 }

@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "crypto/Drbg.h"
+#include "server/FaultInjection.h"
 #include "support/AtomicFile.h"
 #include "support/Backoff.h"
 #include "support/Bytes.h"
 #include "support/Error.h"
+#include "support/FaultSchedule.h"
 #include "support/File.h"
 #include "support/Hex.h"
 #include "support/Stats.h"
@@ -120,6 +122,137 @@ TEST(BackoffTest, CappedAtStepSeventy) {
             0);
   EXPECT_EQ(jitteredBackoffMs(1, std::numeric_limits<int>::max(), 1000, Max),
             1500);
+}
+
+//===----------------------------------------------------------------------===//
+// The fault schedule's draw discipline
+//===----------------------------------------------------------------------===//
+
+bool canApply(const std::vector<FaultKind> &Applicable, FaultKind Kind) {
+  return std::find(Applicable.begin(), Applicable.end(), Kind) !=
+         Applicable.end();
+}
+
+TEST(FaultScheduleTest, OnePlanDecidesAlikePointForPoint) {
+  // Only the second schedule sees its applicable set change and draws
+  // effects between points. What a point can apply masks that point's
+  // decision and never moves a later one.
+  FaultPlan Plan;
+  Plan.Seed = 99;
+  Plan.FaultPerMille = 500;
+  Plan.RateKinds = {FaultKind::Drop, FaultKind::Truncate,
+                    FaultKind::TrapScribble, FaultKind::RestoreFail};
+  const std::vector<std::vector<FaultKind>> Sets = {
+      Plan.RateKinds,
+      {FaultKind::TrapScribble, FaultKind::BudgetClamp},
+      {FaultKind::Drop},
+      {}};
+  FaultSchedule<Drbg> Steady(Plan), Shifting(Plan);
+  size_t Fired = 0, Masked = 0;
+  for (size_t Point = 0; Point < 400; ++Point) {
+    const std::vector<FaultKind> &Applicable = Sets[Point % Sets.size()];
+    FaultKind Full = Steady.next(Sets[0]);
+    FaultKind Seen = Shifting.next(Applicable);
+    (void)Shifting.effectBelow(1 + Point);
+    bool Applies = canApply(Applicable, Full);
+    EXPECT_EQ(Seen, Applies ? Full : FaultKind::None) << "point " << Point;
+    Fired += Full != FaultKind::None;
+    Masked += Full != FaultKind::None && !Applies;
+  }
+  EXPECT_GT(Masked, 0u);
+  EXPECT_GT(Fired, Masked);
+}
+
+TEST(FaultScheduleTest, ScriptedKindThePointCannotApplyUsesItsSlot) {
+  FaultPlan Plan;
+  Plan.Script = {FaultKind::TrapScribble, FaultKind::Drop, FaultKind::None,
+                 FaultKind::RestoreFail, FaultKind::Truncate};
+  FaultSchedule<Drbg> Schedule(Plan);
+  std::vector<FaultKind> Seen;
+  for (int Point = 0; Point < 6; ++Point)
+    Seen.push_back(Schedule.next(TransportFaultKinds));
+  EXPECT_EQ(Seen, (std::vector<FaultKind>{FaultKind::None, FaultKind::Drop,
+                                          FaultKind::None, FaultKind::None,
+                                          FaultKind::Truncate,
+                                          FaultKind::None}));
+  EXPECT_EQ(Schedule.counts().Points, 6u);
+}
+
+TEST(FaultScheduleTest, EmptyRateKindsPickFromThePointsKinds) {
+  FaultPlan Plan;
+  Plan.Seed = 5;
+  Plan.FaultPerMille = 1000;
+  FaultSchedule<Drbg> Schedule(Plan);
+  const std::vector<FaultKind> Ecall = {FaultKind::TrapScribble,
+                                        FaultKind::BudgetClamp};
+  const std::vector<FaultKind> Restore = {FaultKind::RestoreFail};
+  size_t Scribbles = 0, Clamps = 0;
+  for (int Point = 0; Point < 64; ++Point) {
+    FaultKind K = Schedule.next(Ecall);
+    EXPECT_TRUE(canApply(Ecall, K)) << faultKindName(K);
+    Scribbles += K == FaultKind::TrapScribble;
+    Clamps += K == FaultKind::BudgetClamp;
+    EXPECT_EQ(Schedule.next(Restore), FaultKind::RestoreFail);
+  }
+  EXPECT_GT(Scribbles, 0u);
+  EXPECT_GT(Clamps, 0u);
+  EXPECT_EQ(Schedule.next({}), FaultKind::None);
+}
+
+TEST(FaultScheduleTest, CountsAreTheFaultsApplied) {
+  FaultPlan Plan;
+  Plan.Script = {FaultKind::Drop, FaultKind::Truncate, FaultKind::Truncate,
+                 FaultKind::None};
+  FaultSchedule<Drbg> Schedule(Plan);
+  // The injector applies the drop and the first truncation; the second
+  // truncation finds nothing to cut and is not reported, and None counts
+  // nothing.
+  Schedule.applied(Schedule.next(TransportFaultKinds));
+  Schedule.applied(Schedule.next(TransportFaultKinds));
+  EXPECT_EQ(Schedule.next(TransportFaultKinds), FaultKind::Truncate);
+  Schedule.applied(Schedule.next(TransportFaultKinds));
+  FaultCounts C = Schedule.counts();
+  EXPECT_EQ(C.Points, 4u);
+  EXPECT_EQ(C.of(FaultKind::Drop), 1u);
+  EXPECT_EQ(C.of(FaultKind::Truncate), 1u);
+  EXPECT_EQ(C.of(FaultKind::None), 0u);
+  EXPECT_EQ(C.injected(), 2u);
+}
+
+/// A link whose every answer is \p Size bytes.
+struct FixedAnswerLink : Transport {
+  size_t Size;
+  explicit FixedAnswerLink(size_t Size) : Size(Size) {}
+  Expected<Bytes> roundTrip(BytesView) override { return Bytes(Size, 0x5a); }
+};
+
+TEST(FaultScheduleTest, TransportDropsDoNotDependOnAnswerLength) {
+  // A truncation cuts only answers longer than one byte, and draws its
+  // cut from the effect stream: cutting cannot move which calls drop.
+  FaultPlan Plan;
+  Plan.Seed = 17;
+  Plan.FaultPerMille = 500;
+  Plan.RateKinds = {FaultKind::Drop, FaultKind::Truncate};
+  auto run = [&Plan](size_t AnswerSize, size_t &Cut) {
+    FixedAnswerLink Inner(AnswerSize);
+    FaultInjectingTransport Faulty(Inner, Plan);
+    std::vector<size_t> Drops;
+    for (size_t Call = 0; Call < 200; ++Call) {
+      Expected<Bytes> R = Faulty.roundTrip(Bytes{1});
+      if (!R && transportErrcOf(R) == TransportErrc::InjectedFault)
+        Drops.push_back(Call);
+      else if (R && R->size() < AnswerSize)
+        ++Cut;
+    }
+    return Drops;
+  };
+  size_t ShortCut = 0, LongCut = 0;
+  std::vector<size_t> Short = run(1, ShortCut);
+  std::vector<size_t> Long = run(100, LongCut);
+  EXPECT_FALSE(Short.empty());
+  EXPECT_EQ(ShortCut, 0u);
+  EXPECT_GT(LongCut, 0u);
+  EXPECT_EQ(Short, Long);
 }
 
 TEST(RetryabilityTest, EveryCodeOfEveryEnumClassifies) {

@@ -9,7 +9,7 @@
 /// test wraps its randomness root in a `ChaosSeedScope`:
 ///
 ///   ChaosSeedScope Seed("lifecycle-soak", 2024);
-///   EnclaveFaultPlan Plan;
+///   FaultPlan Plan;
 ///   Plan.Seed = Seed.value();
 ///
 /// The scope resolves the effective seed -- `ELIDE_CHAOS_SEED` in the
