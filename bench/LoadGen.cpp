@@ -182,7 +182,6 @@ elide::loadgen::runProvisioningLoadGen(const LoadGenConfig &Config) {
   // Ballast connections idle across the whole run; they must outlive it.
   RC.ReadTimeoutMs = Config.DurationMs + 120000;
   RC.MaxConnections = Config.MaxConnections;
-  RC.ForcePollBackend = Config.ForcePollBackend;
   ELIDE_TRY(std::unique_ptr<ReactorServer> Tcp,
             ReactorServer::start(
                 [&Server](BytesView Request, const FrameContext &Ctx) {
@@ -318,7 +317,6 @@ bench::Report elide::loadgen::provisioningMetrics(const LoadGenReport &R) {
   Json.add("config.max_connections", C.MaxConnections, "conn");
   Json.add("config.fault_seed", static_cast<double>(C.FaultSeed), "seed");
   Json.add("config.fault_per_mille", C.FaultPerMille, "permille");
-  Json.add("config.force_poll", C.ForcePollBackend, "bool");
   Json.add("config.seed", static_cast<double>(C.Seed), "seed");
   Json.add("restores_total", R.RestoresTotal, "restore");
   Json.add("restores_failed", R.RestoresFailed, "restore");
@@ -342,7 +340,6 @@ bench::Report elide::loadgen::provisioningMetrics(const LoadGenReport &R) {
   Json.add("server.connections_shed", R.Reactor.ConnectionsShed, "conn");
   Json.add("server.read_timeouts", R.Reactor.ReadTimeouts, "timeout");
   Json.add("server.write_timeouts", R.Reactor.WriteTimeouts, "timeout");
-  Json.add("server.used_epoll", R.Reactor.UsedEpoll, "bool");
   Json.add("server.wakeups", R.Reactor.Wakeups, "wakeup");
   return Json;
 }

@@ -66,8 +66,6 @@ struct LoadGenConfig {
   /// Seeded fault injection on the record path (0 per-mille = off).
   uint64_t FaultSeed = 1;
   uint32_t FaultPerMille = 0;
-  /// Pin the poll(2) event-loop backend instead of epoll.
-  bool ForcePollBackend = false;
   /// Seed for client key material and ids.
   uint64_t Seed = 1;
 };

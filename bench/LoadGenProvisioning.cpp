@@ -47,7 +47,6 @@ void usage(const char *Argv0) {
       "  --max-connections N       server connection cap, 0 = uncapped (default 0)\n"
       "  --fault-seed S            fault-injection seed (default 1)\n"
       "  --fault-per-mille N       record-path fault rate, 0 = off (default 0)\n"
-      "  --force-poll              use the poll(2) event-loop backend\n"
       "  --seed S                  client randomness seed (default 1)\n"
       "  --out PATH                JSON output path (default BENCH_provisioning.json)\n"
       "  --smoke                   2s closed-loop mini-run (CI smoke profile)\n",
@@ -84,8 +83,6 @@ int main(int Argc, char **Argv) {
       Config.Workers = 8;
       Config.Connections = 64;
       Config.ServerWorkers = 2;
-    } else if (Flag == "--force-poll") {
-      Config.ForcePollBackend = true;
     } else if (Flag == "--mode") {
       const char *V = NextArg();
       if (V && std::strcmp(V, "closed") == 0)

@@ -11,7 +11,6 @@
 #include "support/File.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 using namespace elide;
@@ -58,23 +57,25 @@ Expected<uint64_t> ElideHost::restore(sgx::Enclave &E) {
 
 Expected<uint64_t> ElideHost::restore(sgx::Enclave &E,
                                       const RestorePolicy &Policy) {
-  using Clock = std::chrono::steady_clock;
+  Active = &Policy;
+  Stop = Clock::now() + std::chrono::milliseconds(Policy.DeadlineMs);
+  Expected<uint64_t> Status = retryLoop(E, Policy);
+  Active = nullptr;
+  return Status;
+}
+
+Expected<uint64_t> ElideHost::retryLoop(sgx::Enclave &E,
+                                        const RestorePolicy &Policy) {
   constexpr long long MaxWaitMs = 1000; // Ceiling of the doubling wait.
   int Attempts = std::max(1, Policy.MaxAttempts);
-  uint32_t DeadlineMs = requestDeadlineMs();
-  Clock::time_point Stop = Clock::now() + std::chrono::milliseconds(DeadlineMs);
   Drbg Jitter(Policy.JitterSeed);
   uint64_t Status = RestoreNoSecrets;
   for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
     if (Attempt > 1) {
       std::chrono::milliseconds Wait(jitteredBackoffMs(
           Policy.RetryDelayMs, Attempt - 1, MaxWaitMs, Jitter));
-      if (DeadlineMs && Clock::now() + Wait >= Stop) {
-        emit({ProvisionEventKind::FailoverExhausted, -1, "",
-              TransportErrc::DeadlineExceeded, 0,
-              "restore deadline (" + std::to_string(DeadlineMs) +
-                  " ms) leaves no time for attempt " +
-                  std::to_string(Attempt)});
+      if (Policy.DeadlineMs && Clock::now() + Wait >= Stop) {
+        stopForTime("leaves no time for attempt " + std::to_string(Attempt));
         return Status;
       }
       std::this_thread::sleep_for(Wait);
@@ -91,13 +92,22 @@ Expected<uint64_t> ElideHost::restore(sgx::Enclave &E,
 void ElideHost::emit(const ProvisionEvent &Event) {
   if (EventCallback)
     EventCallback(Event);
-  if (EventTap)
-    EventTap(Event);
+}
+
+Error ElideHost::stopForTime(const std::string &Why) {
+  std::string Message = "restore deadline (" +
+                        std::to_string(Active->DeadlineMs) + " ms) " + Why;
+  emit({ProvisionEventKind::FailoverExhausted, -1, "",
+        TransportErrc::DeadlineExceeded, 0, Message});
+  return makeTransportError(TransportErrc::DeadlineExceeded,
+                            std::move(Message));
 }
 
 Expected<Bytes> ElideHost::readSealed() {
-  if (SealedPath.empty() || !fileExists(SealedPath))
+  if (SealedPath.empty())
     return SealedBlob;
+  if (!fileExists(SealedPath))
+    return Bytes();
   ELIDE_TRY(Bytes Container, readFileBytes(SealedPath));
   Expected<Bytes> Payload = decodeVersionedBlob(Container);
   if (Payload)
@@ -106,27 +116,28 @@ Expected<Bytes> ElideHost::readSealed() {
   // report an empty cache so the chain falls through to the server /
   // local-data sources. The quarantined file stays on disk for forensics.
   std::string Quarantined = quarantineFile(SealedPath);
+  ++SealedQuarantines;
   emit({ProvisionEventKind::CacheQuarantined, -1, SealedPath,
         TransportErrc::None, 0,
         Payload.errorMessage() + "; moved to " + Quarantined});
-  return SealedBlob;
+  return Bytes();
 }
 
 Expected<Bytes> ElideHost::writeSealed(BytesView Request) {
-  SealedBlob = toBytes(Request);
-  if (!SealedPath.empty()) {
-    AtomicCrashPoint Crash = SealedCrashPoint;
-    SealedCrashPoint = AtomicCrashPoint::None; // One-shot injection.
-    if (Error E = atomicWriteFileBytes(SealedPath,
-                                       encodeVersionedBlob(Request), Crash)) {
-      emit({ProvisionEventKind::CacheWriteFailed, -1, SealedPath,
-            TransportErrc::None, 0, E.message()});
-      return E;
-    }
-    emit({ProvisionEventKind::CacheWritten, -1, SealedPath,
-          TransportErrc::None, 0,
-          std::to_string(Request.size()) + " payload bytes"});
+  if (SealedPath.empty()) {
+    SealedBlob = toBytes(Request);
+    return Bytes();
   }
+  AtomicCrashPoint Crash = SealedCrashPoint;
+  SealedCrashPoint = AtomicCrashPoint::None; // One-shot injection.
+  if (Error E = atomicWriteFileBytes(SealedPath, encodeVersionedBlob(Request),
+                                     Crash)) {
+    emit({ProvisionEventKind::CacheWriteFailed, -1, SealedPath,
+          TransportErrc::None, 0, E.message()});
+    return E;
+  }
+  emit({ProvisionEventKind::CacheWritten, -1, SealedPath, TransportErrc::None,
+        0, std::to_string(Request.size()) + " payload bytes"});
   return Bytes();
 }
 
@@ -134,14 +145,26 @@ Expected<Bytes> ElideHost::serverRequest(BytesView Request) {
   if (!Server)
     return makeError("no connection to the authentication server "
                      "(denial of service: the enclave cannot restore)");
-  // Stamp the configured criticality/deadline envelope onto the wire.
-  // The default (Default class, no deadline) sends the bare frame, so
-  // hosts that never call setRequestClass stay byte-identical.
-  Criticality Class = requestClass();
-  uint32_t DeadlineMs = requestDeadlineMs();
-  if (Class == Criticality::Default && DeadlineMs == 0)
+  // A bare restore, and a policy with the Default class and no deadline,
+  // send the bare frame, byte-identical to pre-envelope hosts.
+  if (!Active || (!Active->DeadlineMs && Active->Class == Criticality::Default))
     return Server->roundTrip(Request);
-  return Server->roundTrip(envelopeFrame(DeadlineMs, Class, Request));
+  // The envelope carries the budget left now, not the whole deadline, so
+  // no layer below waits past the restore's end.
+  auto LeftMs = [this] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(Stop -
+                                                                 Clock::now())
+        .count();
+  };
+  long long Budget = Active->DeadlineMs ? LeftMs() : 0;
+  if (Active->DeadlineMs && Budget < 1)
+    return stopForTime("leaves no time for this request");
+  Expected<Bytes> Response = Server->roundTrip(
+      envelopeFrame(static_cast<uint32_t>(Budget), Active->Class, Request));
+  if (!Response && Active->DeadlineMs && LeftMs() < 1)
+    return stopForTime("ran out during a request that failed: " +
+                       Response.errorMessage());
+  return Response;
 }
 
 Expected<Bytes> ElideHost::handleOcall(uint32_t Index, BytesView Request) {

@@ -23,7 +23,7 @@
 #include "sgx/Enclave.h"
 #include "support/AtomicFile.h"
 
-#include <atomic>
+#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
@@ -48,7 +48,7 @@ const char *restoreStatusName(uint64_t Status);
 /// every transient (a lost frame, a garbled reply, a stale session, a
 /// refusal for time). The loop stops early on a terminal status, on a
 /// terminal transport kind from the attempt's failed server request (the
-/// shared table in support/Error.h), and at the host's request deadline.
+/// shared table in support/Error.h), and at the policy's deadline.
 struct RestorePolicy {
   /// Total restore attempts (1 = no retry).
   int MaxAttempts = 1;
@@ -57,6 +57,14 @@ struct RestorePolicy {
   int RetryDelayMs = 10;
   /// Seed for the jitter (distinct machines spread their retries).
   uint64_t JitterSeed = 1;
+  /// Budget for the whole restore, counted from the call (0 = none). No
+  /// attempt starts and no wait is slept past it, and every request
+  /// carries the budget left when it is sent.
+  uint32_t DeadlineMs = 0;
+  /// Criticality class stamped on every request. With `Default` and no
+  /// deadline the requests go out as bare frames, byte-identical to
+  /// pre-envelope hosts.
+  Criticality Class = Criticality::Default;
 };
 
 /// The untrusted SgxElide runtime for one enclave.
@@ -75,32 +83,33 @@ public:
     SecretDataFile = std::move(Contents);
   }
 
-  /// Uses \p Path to persist the sealed-secrets blob across launches;
-  /// when unset, the blob is kept in memory (single-process lifetime).
-  /// On-disk blobs are wrapped in a CRC-protected versioned container and
-  /// written crash-consistently (temp file + fsync + atomic rename); a
-  /// torn or corrupt blob found on read is quarantined to
-  /// `Path + ".quarantine"` and the restore chain falls through to the
-  /// remaining secret sources.
+  /// Uses \p Path as the one store of the sealed-secrets blob across
+  /// launches; with no path the blob is kept in memory (single-process
+  /// lifetime). On-disk blobs are wrapped in a CRC-protected versioned
+  /// container and written crash-consistently (temp file + fsync + atomic
+  /// rename). A missing file reads as an empty cache; a torn or corrupt
+  /// one is quarantined to `Path + ".quarantine"` and reads as empty too,
+  /// so the restore chain falls through to the remaining secret sources
+  /// and the next successful restore writes the file again.
   void setSealedPath(std::string Path) { SealedPath = std::move(Path); }
 
   /// The sealed-cache path (empty when the blob is memory-only). The
   /// supervisor reads this to point its chaos injector at the right file.
   const std::string &sealedPath() const { return SealedPath; }
 
+  /// Sealed-cache files quarantined so far. The supervisor reads it
+  /// around each restore pass to classify a quarantine as a contained
+  /// fault.
+  size_t sealedQuarantines() const { return SealedQuarantines; }
+
   /// Observation hook for cache persistence events (CacheWritten,
-  /// CacheWriteFailed, CacheQuarantined) and for the restore loop
-  /// stopping at its deadline (FailoverExhausted with DeadlineExceeded).
-  /// Shares the ProvisionEvent vocabulary with `Provisioner`, so one
-  /// callback can watch the whole chain.
+  /// CacheWriteFailed, CacheQuarantined) and for a restore ended by its
+  /// deadline (FailoverExhausted with DeadlineExceeded). Shares the
+  /// ProvisionEvent vocabulary with `Provisioner`, so one callback can
+  /// watch the whole chain.
   void setEventCallback(ProvisionEventCallback Callback) {
     EventCallback = std::move(Callback);
   }
-
-  /// Second, independent observer slot: the supervisor taps cache events
-  /// (to classify CacheQuarantined as a contained fault) without stealing
-  /// the application's callback. Both observers see every event.
-  void setEventTap(ProvisionEventCallback Tap) { EventTap = std::move(Tap); }
 
   /// Test hook: injects a simulated crash into the next sealed-cache
   /// write (see AtomicCrashPoint). The chaos suite uses this to prove a
@@ -117,65 +126,55 @@ public:
     AppHandler = std::move(Handler);
   }
 
-  /// Stamps every outgoing server request with \p Class (and, when
-  /// \p DeadlineMs > 0, an end-to-end deadline) by wrapping it in a
-  /// request envelope (server/Protocol.h). Default class with no
-  /// deadline sends bare frames, byte-identical to pre-envelope hosts.
-  /// The supervisor marks recovery-time restores Sheddable through this
-  /// hook so a rebuild storm never starves live traffic. Thread-safe.
-  void setRequestClass(Criticality Class, uint32_t DeadlineMs = 0) {
-    ReqClass.store(static_cast<uint8_t>(Class), std::memory_order_relaxed);
-    ReqDeadlineMs.store(DeadlineMs, std::memory_order_relaxed);
-  }
-
-  /// The current outgoing-request criticality class.
-  Criticality requestClass() const {
-    return static_cast<Criticality>(ReqClass.load(std::memory_order_relaxed));
-  }
-
-  /// The current outgoing-request deadline (0 = none).
-  uint32_t requestDeadlineMs() const {
-    return ReqDeadlineMs.load(std::memory_order_relaxed);
-  }
-
   /// Installs the trusted library and this host's ocall dispatcher into
   /// \p E. Call once after loading the enclave.
   void attach(sgx::Enclave &E);
 
   /// The paper's single developer-facing call: invokes the elide_restore
-  /// ecall. Returns the restorer's status (0 = success; see
-  /// RestoreStatus).
+  /// ecall once, sending its requests as bare frames. Returns the
+  /// restorer's status (0 = success; see RestoreStatus).
   Expected<uint64_t> restore(sgx::Enclave &E);
 
   /// Like restore(), but keeps attempting under \p Policy while the
   /// restorer reports a retryable status. Returns the final status (0
-  /// when some attempt succeeded). With a request deadline set
-  /// (`setRequestClass`), no attempt starts and no wait is slept past it
-  /// from the call; stopping for time reports a FailoverExhausted event
-  /// carrying `TransportErrc::DeadlineExceeded`. Ecall traps abort
-  /// immediately -- a trapped restorer is a broken build, not a network
-  /// hiccup.
+  /// when some attempt succeeded). Each request carries `Policy.Class`
+  /// and the deadline budget left at send time. No attempt starts and no
+  /// wait is slept past the deadline; a request with under 1 ms left is
+  /// not sent, and one that fails once the budget is spent fails as
+  /// `TransportErrc::DeadlineExceeded`. Stopping for time reports one
+  /// FailoverExhausted event carrying `DeadlineExceeded`. Ecall traps
+  /// abort immediately -- a trapped restorer is a broken build, not a
+  /// network hiccup.
   Expected<uint64_t> restore(sgx::Enclave &E, const RestorePolicy &Policy);
 
 private:
+  using Clock = std::chrono::steady_clock;
+
+  Expected<uint64_t> retryLoop(sgx::Enclave &E, const RestorePolicy &Policy);
   Expected<Bytes> handleOcall(uint32_t Index, BytesView Request);
   Expected<Bytes> serverRequest(BytesView Request);
   Expected<Bytes> readSealed();
   Expected<Bytes> writeSealed(BytesView Request);
   void emit(const ProvisionEvent &Event);
+  /// Reports the restore's end for time (one FailoverExhausted event
+  /// carrying DeadlineExceeded) and returns the matching error.
+  Error stopForTime(const std::string &Why);
 
   Transport *Server;
   sgx::QuotingEnclave *Qe;
   Bytes SecretDataFile;
+  /// The sealed blob of a host with no path (a path is the one store).
   Bytes SealedBlob;
   std::string SealedPath;
+  size_t SealedQuarantines = 0;
   std::string DebugOutput;
   AppOcallHandler AppHandler;
   ProvisionEventCallback EventCallback;
-  ProvisionEventCallback EventTap;
   AtomicCrashPoint SealedCrashPoint = AtomicCrashPoint::None;
-  std::atomic<uint8_t> ReqClass{static_cast<uint8_t>(Criticality::Default)};
-  std::atomic<uint32_t> ReqDeadlineMs{0};
+  /// The policy of the `restore(E, Policy)` in progress (null otherwise)
+  /// and the moment its deadline lapses; each server request reads both.
+  const RestorePolicy *Active = nullptr;
+  Clock::time_point Stop;
   /// The transport kind of the current restore attempt's failed server
   /// request (None for an untagged failure); empty while none failed.
   std::optional<TransportErrc> RequestFailure;

@@ -93,23 +93,7 @@ const char *elide::enclaveFaultClassName(EnclaveFaultClass Class) {
 EnclaveSupervisor::EnclaveSupervisor(EnclaveFactory Factory, ElideHost &Host,
                                      SupervisorConfig Config)
     : Factory(std::move(Factory)), Host(Host), Config(Config),
-      Jitter(Config.JitterSeed) {
-  // Sealed-cache corruption is detected by the host, not by us: its read
-  // path quarantines the torn blob and falls through to the remaining
-  // secret sources. Tapping the event stream classifies it as the one
-  // contained fault class (no teardown, no crash-loop debit).
-  Host.setEventTap([this](const ProvisionEvent &Event) {
-    if (Event.Kind != ProvisionEventKind::CacheQuarantined)
-      return;
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.FaultsSealedCacheCorruption;
-    FaultRecord R;
-    R.Class = EnclaveFaultClass::SealedCacheCorruption;
-    R.Generation = Generation.load();
-    R.Message = Event.Detail;
-    LastFault = R;
-  });
-}
+      Jitter(Config.JitterSeed) {}
 
 long long EnclaveSupervisor::nowMs() const {
   if (Clock)
@@ -149,7 +133,7 @@ Error EnclaveSupervisor::restoreNow() {
   if (!Live)
     return makeLifecycleError(LifecycleErrc::NotLoaded,
                               "restore before load: no enclave is built");
-  Expected<uint64_t> S = restorePassLocked();
+  Expected<uint64_t> S = restorePassLocked(Config.Restore);
   if (!S)
     return faultLocked(EnclaveFaultClass::RestoreFailure, TrapKind::Halt, 0,
                        S.errorMessage());
@@ -173,12 +157,24 @@ Error EnclaveSupervisor::start() {
   return restoreNow();
 }
 
-Expected<uint64_t> EnclaveSupervisor::restorePassLocked() {
+Expected<uint64_t>
+EnclaveSupervisor::restorePassLocked(const RestorePolicy &Policy) {
   // The injector may fail the whole pass; the server-unreachable status
   // is the honest stand-in (retryable by the shared table).
   if (Chaos && Chaos->armRestore(Host.sealedPath()) == FaultKind::RestoreFail)
     return RestoreServerUnreachable;
-  return Host.restore(*Live, Config.Restore);
+  // Sealed-cache corruption is detected by the host, not by us: its read
+  // path quarantines the torn blob and falls through to the remaining
+  // secret sources. It is the one contained fault class (no teardown, no
+  // crash-loop debit).
+  size_t Quarantines = Host.sealedQuarantines();
+  Expected<uint64_t> Status = Host.restore(*Live, Policy);
+  for (; Quarantines < Host.sealedQuarantines(); ++Quarantines)
+    recordFaultLocked(EnclaveFaultClass::SealedCacheCorruption,
+                      TrapKind::Halt, 0,
+                      "sealed cache " + Host.sealedPath() +
+                          " failed its check and was quarantined");
+  return Status;
 }
 
 void EnclaveSupervisor::recordFaultLocked(EnclaveFaultClass Class,
@@ -271,11 +267,9 @@ Error EnclaveSupervisor::recoverLocked() {
   // wait out a quarantine) before live traffic (which cannot). The
   // initial restoreNow() keeps its caller-chosen class -- only the
   // supervisor's own self-healing is speculative load.
-  Criticality PrevClass = Host.requestClass();
-  uint32_t PrevDeadline = Host.requestDeadlineMs();
-  Host.setRequestClass(Criticality::Sheddable, PrevDeadline);
-  Expected<uint64_t> S = restorePassLocked();
-  Host.setRequestClass(PrevClass, PrevDeadline);
+  RestorePolicy Recovery = Config.Restore;
+  Recovery.Class = Criticality::Sheddable;
+  Expected<uint64_t> S = restorePassLocked(Recovery);
   if (!S) {
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);

@@ -120,7 +120,7 @@ struct SupervisorConfig {
   /// Seed for the quarantine jitter.
   uint64_t JitterSeed = 1;
   /// Restore policy the host's retry loop runs for the initial restore
-  /// and every recovery restore.
+  /// and, with its class set to Sheddable, for every recovery restore.
   RestorePolicy Restore;
 };
 
@@ -169,8 +169,8 @@ struct SupervisorTicket {
 /// the *same* thread are rejected as orderliness violations.
 class EnclaveSupervisor {
 public:
-  /// \p Host must outlive the supervisor; the supervisor installs itself
-  /// as the host's event tap (to observe sealed-cache quarantines).
+  /// \p Host must outlive the supervisor; the supervisor reads its
+  /// quarantine count after each restore pass.
   EnclaveSupervisor(EnclaveFactory Factory, ElideHost &Host,
                     SupervisorConfig Config = {});
 
@@ -260,10 +260,11 @@ private:
   /// Tear down + rebuild + restore. Called with `Mutex` held.
   Error recoverLocked();
 
-  /// One supervised restore pass: consults chaos once, then runs the
-  /// host's retry loop under `Config.Restore`. Returns the final status
-  /// word. Called with `Mutex` held on a live enclave.
-  Expected<uint64_t> restorePassLocked();
+  /// One supervised restore pass: consults chaos once, runs the host's
+  /// retry loop under \p Policy, and records each sealed-cache quarantine
+  /// the pass caused. Returns the final status word. Called with `Mutex`
+  /// held on a live enclave.
+  Expected<uint64_t> restorePassLocked(const RestorePolicy &Policy);
 
   long long nowMs() const;
 

@@ -1,4 +1,4 @@
-//===- server/EventLoop.cpp - Readiness event loop (epoll / poll) ---------===//
+//===- server/EventLoop.cpp - Readiness event loop (epoll) ----------------===//
 //
 // Part of the SgxElide reproduction. Distributed under the MIT license.
 //
@@ -9,12 +9,8 @@
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 using namespace elide;
 
@@ -29,7 +25,6 @@ void setNonBlockingCloexec(int Fd) {
     ::fcntl(Fd, F_SETFD, FdFlags | FD_CLOEXEC);
 }
 
-#ifdef __linux__
 uint32_t toEpoll(uint32_t Events) {
   uint32_t E = 0;
   if (Events & EvRead)
@@ -38,25 +33,15 @@ uint32_t toEpoll(uint32_t Events) {
     E |= EPOLLOUT;
   return E;
 }
-#endif
-
-short toPoll(uint32_t Events) {
-  short E = 0;
-  if (Events & EvRead)
-    E |= POLLIN;
-  if (Events & EvWrite)
-    E |= POLLOUT;
-  return E;
-}
 
 } // namespace
 
-Expected<std::unique_ptr<EventLoop>> EventLoop::create(bool ForcePoll) {
+Expected<std::unique_ptr<EventLoop>> EventLoop::create() {
   std::unique_ptr<EventLoop> Loop(new EventLoop());
 
-  // The wakeup channel: a plain pipe works on every backend. The write
-  // end stays non-blocking so wakeup() can never stall a worker; a full
-  // pipe just means a wakeup is already pending.
+  // The wakeup channel: a plain pipe. The write end stays non-blocking so
+  // wakeup() can never stall a worker; a full pipe just means a wakeup is
+  // already pending.
   int Pipe[2];
   if (::pipe(Pipe) < 0)
     return makeError(std::string("wakeup pipe: ") + std::strerror(errno));
@@ -65,31 +50,21 @@ Expected<std::unique_ptr<EventLoop>> EventLoop::create(bool ForcePoll) {
   Loop->WakeRead = Pipe[0];
   Loop->WakeWrite = Pipe[1];
 
-#ifdef __linux__
-  if (!ForcePoll) {
-    Loop->EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (Loop->EpollFd >= 0) {
-      epoll_event Ev{};
-      Ev.events = EPOLLIN;
-      Ev.data.u64 = ~0ull; // sentinel: the wakeup pipe
-      if (::epoll_ctl(Loop->EpollFd, EPOLL_CTL_ADD, Loop->WakeRead, &Ev) < 0)
-        return makeError(std::string("epoll_ctl(wakeup): ") +
-                         std::strerror(errno));
-    }
-    // epoll_create1 failure falls through to the poll backend rather than
-    // failing the server outright.
-  }
-#else
-  (void)ForcePoll;
-#endif
+  Loop->EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (Loop->EpollFd < 0)
+    return makeError(std::string("epoll_create1: ") + std::strerror(errno));
+  epoll_event Ev{};
+  Ev.events = EPOLLIN;
+  Ev.data.u64 = ~0ull; // sentinel: the wakeup pipe
+  if (::epoll_ctl(Loop->EpollFd, EPOLL_CTL_ADD, Loop->WakeRead, &Ev) < 0)
+    return makeError(std::string("epoll_ctl(wakeup): ") +
+                     std::strerror(errno));
   return Loop;
 }
 
 EventLoop::~EventLoop() {
-#ifdef __linux__
   if (EpollFd >= 0)
     ::close(EpollFd);
-#endif
   if (WakeRead >= 0)
     ::close(WakeRead);
   if (WakeWrite >= 0)
@@ -99,20 +74,15 @@ EventLoop::~EventLoop() {
 Error EventLoop::add(int Fd, uint32_t Events, void *Token) {
   if (!Token)
     return makeError("EventLoop tokens must be non-null");
-  if (!Tokens.emplace(Fd, Watch{Token, Events}).second)
+  if (!Tokens.emplace(Fd, Token).second)
     return makeError("fd already watched: " + std::to_string(Fd));
-#ifdef __linux__
-  if (EpollFd >= 0) {
-    epoll_event Ev{};
-    Ev.events = toEpoll(Events);
-    Ev.data.fd = Fd;
-    if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
-      Tokens.erase(Fd);
-      return makeError(std::string("epoll_ctl(add): ") +
-                       std::strerror(errno));
-    }
+  epoll_event Ev{};
+  Ev.events = toEpoll(Events);
+  Ev.data.fd = Fd;
+  if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
+    Tokens.erase(Fd);
+    return makeError(std::string("epoll_ctl(add): ") + std::strerror(errno));
   }
-#endif
   return Error::success();
 }
 
@@ -120,27 +90,20 @@ Error EventLoop::mod(int Fd, uint32_t Events, void *Token) {
   auto It = Tokens.find(Fd);
   if (It == Tokens.end())
     return makeError("fd not watched: " + std::to_string(Fd));
-  It->second = Watch{Token, Events};
-#ifdef __linux__
-  if (EpollFd >= 0) {
-    epoll_event Ev{};
-    Ev.events = toEpoll(Events);
-    Ev.data.fd = Fd;
-    if (::epoll_ctl(EpollFd, EPOLL_CTL_MOD, Fd, &Ev) < 0)
-      return makeError(std::string("epoll_ctl(mod): ") +
-                       std::strerror(errno));
-  }
-#endif
+  It->second = Token;
+  epoll_event Ev{};
+  Ev.events = toEpoll(Events);
+  Ev.data.fd = Fd;
+  if (::epoll_ctl(EpollFd, EPOLL_CTL_MOD, Fd, &Ev) < 0)
+    return makeError(std::string("epoll_ctl(mod): ") + std::strerror(errno));
   return Error::success();
 }
 
 Error EventLoop::del(int Fd) {
   if (Tokens.erase(Fd) == 0)
     return makeError("fd not watched: " + std::to_string(Fd));
-#ifdef __linux__
-  if (EpollFd >= 0 && ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, Fd, nullptr) < 0)
+  if (::epoll_ctl(EpollFd, EPOLL_CTL_DEL, Fd, nullptr) < 0)
     return makeError(std::string("epoll_ctl(del): ") + std::strerror(errno));
-#endif
   return Error::success();
 }
 
@@ -148,78 +111,35 @@ Expected<bool> EventLoop::wait(std::vector<LoopEvent> &Out, int TimeoutMs) {
   Out.clear();
   bool WokeUp = false;
 
-  auto drainWakePipe = [this, &WokeUp] {
-    uint8_t Sink[64];
-    while (::read(WakeRead, Sink, sizeof(Sink)) > 0)
-      ;
-    WakePending.store(false, std::memory_order_release);
-    WakeupsConsumed.fetch_add(1, std::memory_order_relaxed);
-    WokeUp = true;
-  };
-
-#ifdef __linux__
-  if (EpollFd >= 0) {
-    // 64 descriptors per wait round: with thousands watched, the kernel
-    // round-robins readiness across calls, so a bounded batch bounds the
-    // latency any one connection can add to another's.
-    epoll_event Evs[64];
-    int N = ::epoll_wait(EpollFd, Evs, 64, TimeoutMs);
-    if (N < 0) {
-      if (errno == EINTR)
-        return false;
-      return makeError(std::string("epoll_wait: ") + std::strerror(errno));
-    }
-    Out.reserve(static_cast<size_t>(N));
-    for (int I = 0; I < N; ++I) {
-      if (Evs[I].data.u64 == ~0ull) {
-        drainWakePipe();
-        continue;
-      }
-      auto It = Tokens.find(Evs[I].data.fd);
-      if (It == Tokens.end())
-        continue; // Deleted by an earlier event this round.
-      LoopEvent E;
-      E.Token = It->second.Token;
-      E.Readable = (Evs[I].events & EPOLLIN) != 0;
-      E.Writable = (Evs[I].events & EPOLLOUT) != 0;
-      E.Broken = (Evs[I].events & (EPOLLERR | EPOLLHUP)) != 0;
-      Out.push_back(E);
-    }
-    return WokeUp;
-  }
-#endif
-
-  // poll backend: rebuild the set each round. O(n) per wait, which is
-  // exactly why epoll is the default; this path exists for portability
-  // and as a behavioral cross-check in the test suite.
-  PollSet.clear();
-  PollSet.reserve(Tokens.size() + 1);
-  PollSet.push_back(pollfd{WakeRead, POLLIN, 0});
-  for (const auto &[Fd, W] : Tokens)
-    PollSet.push_back(pollfd{Fd, toPoll(W.Events), 0});
-
-  int N = ::poll(PollSet.data(), PollSet.size(), TimeoutMs);
+  // 64 descriptors per wait round: with thousands watched, the kernel
+  // round-robins readiness across calls, so a bounded batch bounds the
+  // latency any one connection can add to another's.
+  epoll_event Evs[64];
+  int N = ::epoll_wait(EpollFd, Evs, 64, TimeoutMs);
   if (N < 0) {
     if (errno == EINTR)
       return false;
-    return makeError(std::string("poll: ") + std::strerror(errno));
+    return makeError(std::string("epoll_wait: ") + std::strerror(errno));
   }
-  if (N == 0)
-    return false;
-  if (PollSet[0].revents & POLLIN)
-    drainWakePipe();
-  for (size_t I = 1; I < PollSet.size(); ++I) {
-    short Re = PollSet[I].revents;
-    if (!Re)
+  Out.reserve(static_cast<size_t>(N));
+  for (int I = 0; I < N; ++I) {
+    if (Evs[I].data.u64 == ~0ull) {
+      uint8_t Sink[64];
+      while (::read(WakeRead, Sink, sizeof(Sink)) > 0)
+        ;
+      WakePending.store(false, std::memory_order_release);
+      WakeupsConsumed.fetch_add(1, std::memory_order_relaxed);
+      WokeUp = true;
       continue;
-    auto It = Tokens.find(PollSet[I].fd);
+    }
+    auto It = Tokens.find(Evs[I].data.fd);
     if (It == Tokens.end())
-      continue;
+      continue; // Deleted by an earlier event this round.
     LoopEvent E;
-    E.Token = It->second.Token;
-    E.Readable = (Re & POLLIN) != 0;
-    E.Writable = (Re & POLLOUT) != 0;
-    E.Broken = (Re & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    E.Token = It->second;
+    E.Readable = (Evs[I].events & EPOLLIN) != 0;
+    E.Writable = (Evs[I].events & EPOLLOUT) != 0;
+    E.Broken = (Evs[I].events & (EPOLLERR | EPOLLHUP)) != 0;
     Out.push_back(E);
   }
   return WokeUp;

@@ -1,4 +1,4 @@
-//===- server/EventLoop.h - Readiness event loop (epoll / poll) -----------===//
+//===- server/EventLoop.h - Readiness event loop (epoll) ------------------===//
 //
 // Part of the SgxElide reproduction. Distributed under the MIT license.
 //
@@ -6,19 +6,14 @@
 ///
 /// \file
 /// The readiness-notification core under the reactor transport: a thin
-/// ownership-free wrapper over epoll(7) with a portable poll(2) fallback,
-/// plus a self-wakeup channel so other threads (worker pools posting
-/// completed responses, `stop()` callers) can interrupt a blocked wait.
+/// ownership-free wrapper over epoll(7), plus a self-wakeup channel so
+/// other threads (worker pools posting completed responses, `stop()`
+/// callers) can interrupt a blocked wait.
 ///
 /// The loop maps file descriptors to opaque caller tokens; it never reads,
 /// writes, or closes the descriptors themselves. All methods except
 /// `wakeup()` must be called from the owning (loop) thread; `wakeup()` is
 /// safe from any thread and is the only cross-thread entry point.
-///
-/// The epoll backend is used when the platform provides it; passing
-/// `ForcePoll` (or running on a non-Linux platform) selects the poll
-/// backend, which the test suite exercises explicitly so the fallback
-/// never rots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,14 +25,13 @@
 
 #include <atomic>
 #include <memory>
-#include <poll.h>
 #include <unordered_map>
 #include <vector>
 
 namespace elide {
 
 /// Interest/readiness bits (a deliberately tiny vocabulary; mapped onto
-/// EPOLLIN/EPOLLOUT or POLLIN/POLLOUT internally).
+/// EPOLLIN/EPOLLOUT internally).
 constexpr uint32_t EvRead = 1u << 0;
 constexpr uint32_t EvWrite = 1u << 1;
 
@@ -55,16 +49,12 @@ struct LoopEvent {
 /// threading contract.
 class EventLoop {
 public:
-  /// Creates a loop. `ForcePoll` selects the poll backend even where
-  /// epoll is available (tests pin the fallback with this).
-  static Expected<std::unique_ptr<EventLoop>> create(bool ForcePoll = false);
+  /// Creates a loop.
+  static Expected<std::unique_ptr<EventLoop>> create();
   ~EventLoop();
 
   EventLoop(const EventLoop &) = delete;
   EventLoop &operator=(const EventLoop &) = delete;
-
-  /// True when the epoll backend is active.
-  bool usingEpoll() const { return EpollFd >= 0; }
 
   /// Starts watching \p Fd for \p Events, reporting \p Token on readiness.
   Error add(int Fd, uint32_t Events, void *Token);
@@ -97,21 +87,16 @@ public:
 private:
   EventLoop() = default;
 
-  int EpollFd = -1;        ///< -1 when the poll backend is active.
+  int EpollFd = -1;
   int WakeRead = -1;       ///< Self-pipe read end, watched internally.
   int WakeWrite = -1;      ///< Self-pipe write end.
   std::atomic<bool> WakePending{false};
   std::atomic<size_t> WakeupsConsumed{0};
 
-  /// Fd -> token for both backends (poll also keeps the interest here).
-  struct Watch {
-    void *Token;
-    uint32_t Events;
-  };
-  std::unordered_map<int, Watch> Tokens;
-
-  /// Scratch for the poll backend, rebuilt per wait.
-  std::vector<pollfd> PollSet;
+  /// Fd -> token. epoll reports the descriptor, and a descriptor deleted
+  /// earlier in the same wait round is absent here, so its stale event is
+  /// dropped.
+  std::unordered_map<int, void *> Tokens;
 };
 
 } // namespace elide

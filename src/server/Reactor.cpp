@@ -118,8 +118,7 @@ ReactorServer::start(ContextFrameHandler Handler, const ReactorConfig &Config) {
   }
   setNonBlocking(Fd);
 
-  Expected<std::unique_ptr<EventLoop>> Loop =
-      EventLoop::create(Config.ForcePollBackend);
+  Expected<std::unique_ptr<EventLoop>> Loop = EventLoop::create();
   if (!Loop) {
     ::close(Fd);
     return Loop.takeError();
@@ -172,7 +171,6 @@ ReactorStats ReactorServer::stats() const {
   S.DrainNotified = DrainNotified.load();
   S.MaxConcurrentConnections = PeakConns.load();
   S.Wakeups = Loop ? Loop->wakeupsConsumed() : 0;
-  S.UsedEpoll = Loop && Loop->usingEpoll();
   return S;
 }
 

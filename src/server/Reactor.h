@@ -8,7 +8,7 @@
 /// The authentication server's TCP front end: a `ReactorServer` whose
 /// handler calls `AuthServer::handle` serves the clients'
 /// `TcpClientTransport`s. One reactor thread multiplexes every connection
-/// over an `EventLoop` (epoll, with a poll fallback), while a fixed worker
+/// over an `EventLoop` (epoll), while a fixed worker
 /// pool runs the frame handler -- the CPU work of quote verification and
 /// GCM -- off the IO path. Concurrency is bounded by memory per
 /// connection rather than by threads, so thousands of idle or slow
@@ -91,9 +91,6 @@ struct ReactorConfig {
   size_t MaxConnections = 0;
   /// Retry-after hint carried by cap-shed responses.
   uint32_t OverloadRetryAfterMs = 100;
-  /// Selects the poll(2) backend even where epoll is available (the test
-  /// suite pins the fallback with this so it never rots).
-  bool ForcePollBackend = false;
 };
 
 /// Usage counters (tests and benches read these).
@@ -111,8 +108,6 @@ struct ReactorStats {
   /// Cross-thread wakeups the event loop consumed (worker completions,
   /// stop requests).
   size_t Wakeups = 0;
-  /// Whether the epoll backend was active (false = poll fallback).
-  bool UsedEpoll = false;
 };
 
 /// Serves length-prefixed frames over TCP on 127.0.0.1 with an ephemeral

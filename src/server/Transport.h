@@ -107,8 +107,9 @@ struct TcpClientConfig {
 /// (`retryAfterHintOf`), so the failover layer decides where to go next.
 ///
 /// Deadline-aware: a request wrapped in an envelope frame (see
-/// server/Protocol.h) clamps the connect and IO timeouts to the
-/// envelope's deadline, so no wait outlives the caller's budget.
+/// server/Protocol.h) clamps the connect and IO timeouts to the budget
+/// the envelope carries, which is what the restore had left when it sent
+/// the request, so no single wait outlives the caller's deadline.
 class TcpClientTransport : public Transport {
 public:
   TcpClientTransport(std::string Host, uint16_t Port,

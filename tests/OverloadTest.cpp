@@ -23,6 +23,7 @@
 #include "elide/Supervisor.h"
 #include "server/AuthServer.h"
 #include "server/FaultInjection.h"
+#include "server/Reactor.h"
 #include "server/Transport.h"
 #include "sgx/EnclaveChaos.h"
 #include "sgx/EnclaveLoader.h"
@@ -38,6 +39,8 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <thread>
+#include <vector>
 
 using namespace elide;
 using elide::testing::AcceptAndClose;
@@ -270,7 +273,7 @@ struct HostEvents {
 
 TEST(OverloadClientDeadlineTest, DeadlineStopsRetriesWithTypedError) {
   // Fifty attempts are far more than a 120 ms deadline can fund: the
-  // restore loop, which keeps the deadline, must stop for time.
+  // restore loop, whose policy carries the deadline, must stop for time.
   auto Rig = RestoreRig::make();
   ASSERT_NE(Rig, nullptr);
   ClosedPort Port;
@@ -284,12 +287,12 @@ TEST(OverloadClientDeadlineTest, DeadlineStopsRetriesWithTypedError) {
   ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
   ElideHost Host(&Counted, Rig->qe());
   Host.attach(**E);
-  Host.setRequestClass(Criticality::Default, /*DeadlineMs=*/120);
   HostEvents Events;
   Host.setEventCallback(
       [&Events](const ProvisionEvent &Event) { Events.Seen.push_back(Event); });
 
   RestorePolicy Policy{50, 30};
+  Policy.DeadlineMs = 120;
   auto T0 = std::chrono::steady_clock::now();
   Expected<uint64_t> Status = Host.restore(**E, Policy);
   double ElapsedMs = std::chrono::duration<double, std::milli>(
@@ -351,6 +354,129 @@ TEST(OverloadClientDeadlineTest, DeadServerCostsOneConnectionPerAttempt) {
   ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
   EXPECT_EQ(*Status, RestoreServerUnreachable);
   EXPECT_EQ(Server.accepted(), 3);
+}
+
+/// Answers each frame \p DelayMs after it arrives, recording when it
+/// arrived (ms since `T0`) and the deadline its envelope carried.
+struct SlowLink : Transport {
+  Transport &Inner;
+  std::chrono::milliseconds Delay;
+  std::chrono::steady_clock::time_point T0 = std::chrono::steady_clock::now();
+  std::vector<std::pair<double, uint32_t>> Sent; // {elapsed ms, DeadlineMs}
+
+  SlowLink(Transport &Inner, int DelayMs) : Inner(Inner), Delay(DelayMs) {}
+
+  Expected<Bytes> roundTrip(BytesView Request) override {
+    double ElapsedMs = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - T0)
+                           .count();
+    Expected<RequestEnvelope> Env = unwrapRequest(Request);
+    Sent.push_back({ElapsedMs, Env ? Env->DeadlineMs : 0});
+    std::this_thread::sleep_for(Delay);
+    return Inner.roundTrip(Request);
+  }
+};
+
+TEST(OverloadClientDeadlineTest, EachFrameCarriesTheBudgetLeftAtSend) {
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
+  AuthServer Server(Rig->serverConfig());
+  LoopbackTransport Link(Server);
+  SlowLink Slow(Link, /*DelayMs=*/40);
+
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Slow, Rig->qe());
+  Host.attach(**E);
+  RestorePolicy Policy;
+  Policy.DeadlineMs = 200;
+  Slow.T0 = std::chrono::steady_clock::now();
+  Expected<uint64_t> Status = Host.restore(**E, Policy);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreOk) << restoreStatusName(*Status);
+
+  // HELLO, META and DATA each carry what is left of the 200 ms, not the
+  // whole of it, so the budgets fall as the 40 ms answers pile up.
+  ASSERT_EQ(Slow.Sent.size(), 3u);
+  for (size_t I = 0; I < Slow.Sent.size(); ++I) {
+    auto [ElapsedMs, DeadlineMs] = Slow.Sent[I];
+    EXPECT_GE(DeadlineMs, 1u) << "frame " << I;
+    EXPECT_LE(DeadlineMs, 200 - static_cast<uint32_t>(ElapsedMs))
+        << "frame " << I << " sent at " << ElapsedMs << " ms";
+    if (I > 0)
+      EXPECT_LT(DeadlineMs, Slow.Sent[I - 1].second) << "frame " << I;
+  }
+}
+
+TEST(OverloadClientDeadlineTest, RequestWithNoBudgetLeftIsNotSent) {
+  // HELLO and META take 120 ms each, so DATA finds the 200 ms spent: it is
+  // not sent, it fails as DeadlineExceeded, and the loop, which has
+  // attempts left, stops there and says so once.
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
+  AuthServer Server(Rig->serverConfig());
+  LoopbackTransport Link(Server);
+  SlowLink Slow(Link, /*DelayMs=*/120);
+
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Slow, Rig->qe());
+  Host.attach(**E);
+  HostEvents Events;
+  Host.setEventCallback(
+      [&Events](const ProvisionEvent &Event) { Events.Seen.push_back(Event); });
+  RestorePolicy Policy{3, 25};
+  Policy.DeadlineMs = 200;
+  Expected<uint64_t> Status = Host.restore(**E, Policy);
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_EQ(*Status, RestoreDataFetchFailed) << restoreStatusName(*Status);
+  EXPECT_EQ(Slow.Sent.size(), 2u);
+  EXPECT_EQ(Events.count(TransportErrc::DeadlineExceeded), 1u);
+}
+
+TEST(OverloadClientDeadlineTest, DeadlineEndsARestoreMidExchange) {
+  // A server that takes 190 ms per frame cannot answer HELLO, META and
+  // DATA inside 200 ms. The META request carries the few ms left, so the
+  // client stops waiting at the deadline, and the restore ends there: the
+  // failed request fails as DeadlineExceeded.
+  auto Rig = RestoreRig::make();
+  ASSERT_NE(Rig, nullptr);
+  AuthServer Server(Rig->serverConfig());
+  ReactorConfig RC;
+  RC.WorkerThreads = 2;
+  Expected<std::unique_ptr<ReactorServer>> Tcp = ReactorServer::start(
+      [&Server](BytesView Request, const FrameContext &Ctx) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(190));
+        return Server.handle(Request, Ctx);
+      },
+      RC);
+  ASSERT_TRUE(static_cast<bool>(Tcp)) << Tcp.errorMessage();
+  TcpClientTransport Client("127.0.0.1", (*Tcp)->port());
+
+  Expected<std::unique_ptr<sgx::Enclave>> E = Rig->load();
+  ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+  ElideHost Host(&Client, Rig->qe());
+  Host.attach(**E);
+  std::vector<ProvisionEvent> Events;
+  Host.setEventCallback(
+      [&Events](const ProvisionEvent &Event) { Events.push_back(Event); });
+  RestorePolicy Policy; // One attempt: only the cut exchange can say why.
+  Policy.DeadlineMs = 200;
+
+  auto T0 = std::chrono::steady_clock::now();
+  Expected<uint64_t> Status = Host.restore(**E, Policy);
+  double ElapsedMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - T0)
+                         .count();
+  ASSERT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+  EXPECT_NE(*Status, RestoreOk);
+  EXPECT_LT(ElapsedMs, 400.0);
+  size_t Stops = 0;
+  for (const ProvisionEvent &Event : Events)
+    Stops += Event.Kind == ProvisionEventKind::FailoverExhausted &&
+             Event.Errc == TransportErrc::DeadlineExceeded;
+  EXPECT_EQ(Stops, 1u);
+  (*Tcp)->stop();
 }
 
 //===----------------------------------------------------------------------===//
@@ -548,9 +674,6 @@ TEST(OverloadSupervisorTest, RecoveryRestoresAreMarkedSheddable) {
     EXPECT_GT(RecoverySheddable, 0u);
   }
 
-  // The hook is restored: post-recovery application traffic is Default.
-  EXPECT_EQ(Host.requestClass(), Criticality::Default);
-  EXPECT_EQ(Host.requestDeadlineMs(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -410,6 +410,57 @@ TEST(CacheChaosTest, TornCacheIsQuarantinedAndChainFallsThrough) {
   removeFile(Path + ".quarantine");
 }
 
+TEST(CacheChaosTest, SealedPathIsTheHostsOneStore) {
+  auto F = makeFleet(1);
+  ASSERT_NE(F, nullptr);
+  std::string Path = ::testing::TempDir() + "sgxelide_chaos_one_store.bin";
+  removeFile(Path);
+  removeFile(Path + ".quarantine");
+
+  // One host relaunches its enclave three times; a host with a path keeps
+  // no copy of the blob in memory that could hide the file.
+  Provisioner Chain;
+  Chain.addEndpoint("alive", F->Links[0].get());
+  ElideHost Host(&Chain, F->Qe.get());
+  EventLog Log;
+  Host.setEventCallback(std::ref(Log));
+  Host.setSealedPath(Path);
+  auto relaunch = [&]() -> size_t {
+    size_t Handshakes = F->Servers[0]->stats().HandshakesCompleted;
+    auto E = F->load();
+    EXPECT_TRUE(static_cast<bool>(E)) << E.errorMessage();
+    if (!E)
+      return 0;
+    Host.attach(**E);
+    Expected<uint64_t> Status = Host.restore(**E);
+    EXPECT_TRUE(static_cast<bool>(Status)) << Status.errorMessage();
+    EXPECT_EQ(Status ? *Status : ~0ull, RestoreOk);
+    expectRestored(**E);
+    return F->Servers[0]->stats().HandshakesCompleted - Handshakes;
+  };
+
+  EXPECT_EQ(relaunch(), 1u); // Seals the file.
+  Expected<Bytes> OnDisk = readFileBytes(Path);
+  ASSERT_TRUE(static_cast<bool>(OnDisk)) << OnDisk.errorMessage();
+  (*OnDisk)[VersionedBlobHeaderSize + 3] ^= 0x40;
+  ASSERT_FALSE(static_cast<bool>(writeFileBytes(Path, *OnDisk)));
+
+  // The corrupt file reads as an empty cache: the relaunch goes back to
+  // the server and leaves a valid container at the path.
+  EXPECT_EQ(relaunch(), 1u);
+  EXPECT_EQ(Log.count(ProvisionEventKind::CacheQuarantined), 1u);
+  EXPECT_EQ(Host.sealedQuarantines(), 1u);
+  Expected<Bytes> Fresh = readFileBytes(Path);
+  EXPECT_TRUE(Fresh && decodeVersionedBlob(*Fresh))
+      << "no valid container at " << Path;
+
+  // The next relaunch restores from that file, without a handshake.
+  EXPECT_EQ(relaunch(), 0u);
+  EXPECT_EQ(Log.count(ProvisionEventKind::CacheQuarantined), 1u);
+  removeFile(Path);
+  removeFile(Path + ".quarantine");
+}
+
 //===----------------------------------------------------------------------===//
 // Circuit breaker state machine
 //===----------------------------------------------------------------------===//

@@ -222,28 +222,6 @@ TEST(ReactorTest, StalledReaderHitsWriteBackpressureDeadline) {
   (*S)->stop();
 }
 
-TEST(ReactorTest, PollFallbackServes) {
-  ReactorConfig Config;
-  Config.WorkerThreads = 1;
-  Config.ForcePollBackend = true;
-  Expected<std::unique_ptr<ReactorServer>> S =
-      ReactorServer::start(echoHandler, Config);
-  ASSERT_TRUE(static_cast<bool>(S)) << S.errorMessage();
-
-  int Fd = rawConnect((*S)->port());
-  ASSERT_GE(Fd, 0);
-  Bytes Req = {0x5a, 0xa5};
-  ASSERT_TRUE(sendFrame(Fd, Req));
-  Bytes Resp;
-  ASSERT_TRUE(recvFrame(Fd, Resp));
-  EXPECT_EQ(Resp, Req);
-  ::close(Fd);
-  (*S)->stop();
-  ReactorStats St = (*S)->stats();
-  EXPECT_FALSE(St.UsedEpoll);
-  EXPECT_EQ(St.FramesServed, 1u);
-}
-
 TEST(ReactorTest, ConnectionCapShedsWithRetryHint) {
   ReactorConfig Config;
   Config.WorkerThreads = 1;

@@ -406,9 +406,10 @@ TEST(HelloVerdictTest, HelloRefusedForTimeIsRetryable) {
   ASSERT_TRUE(static_cast<bool>(E)) << E.errorMessage();
   ElideHost Host(&Late, S->Qe.get());
   Host.attach(**E);
-  Host.setRequestClass(Criticality::Default, /*DeadlineMs=*/50);
+  RestorePolicy Policy;
+  Policy.DeadlineMs = 50;
 
-  Expected<uint64_t> First = Host.restore(**E);
+  Expected<uint64_t> First = Host.restore(**E, Policy);
   ASSERT_TRUE(static_cast<bool>(First)) << First.errorMessage();
   EXPECT_EQ(*First, RestoreServerUnreachable)
       << restoreStatusName(*First);
@@ -419,7 +420,7 @@ TEST(HelloVerdictTest, HelloRefusedForTimeIsRetryable) {
 
   // Once the queue drains, the same host restores.
   Late.QueueDelayMs = 0;
-  Expected<uint64_t> Second = Host.restore(**E);
+  Expected<uint64_t> Second = Host.restore(**E, Policy);
   ASSERT_TRUE(static_cast<bool>(Second)) << Second.errorMessage();
   EXPECT_EQ(*Second, 0u);
   expectRestored(**E);

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A protected enclave and the platform to load it on, with no server
-/// behind it. Tests attach an `ElideHost` on the transport they study (a
-/// closed port, a bad address, an accept-and-close listener) and count
-/// what `ElideHost::restore` under a `RestorePolicy`, the one retry loop,
-/// does with it. Each attempt's first server request is its HELLO, so
-/// against a dead transport one attempt is one request.
+/// A protected enclave and the platform to load it on. Tests attach an
+/// `ElideHost` on the transport they study (a closed port, a bad address,
+/// an accept-and-close listener, or a server built from `serverConfig()`
+/// behind a slow link) and count what `ElideHost::restore` under a
+/// `RestorePolicy`, the one retry loop, does with it. Each attempt's first
+/// server request is its HELLO, so against a dead transport one attempt
+/// is one request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +59,18 @@ public:
 
   /// The platform's quoting enclave, for the host.
   sgx::QuotingEnclave *qe() { return &Qe; }
+
+  /// The configuration of a server that provisions this enclave.
+  AuthServerConfig serverConfig() const {
+    ServerProvisioning P = provisioningFor(Artifacts, Options);
+    AuthServerConfig Config;
+    Config.AuthorityKey = Authority.publicKey();
+    Config.ExpectedMrEnclave = P.SanitizedMrEnclave;
+    Config.ExpectedMrSigner = P.MrSigner;
+    Config.Meta = Artifacts.Meta;
+    Config.SecretData = Artifacts.SecretData;
+    return Config;
+  }
 
 private:
   RestoreRig() = default;

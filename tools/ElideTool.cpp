@@ -105,8 +105,9 @@ int usage() {
       "  18  overloaded: every endpoint shed load (honor retry-after)\n"
       "  19  breaker-open: all endpoint breakers open (retry later)\n"
       "  20  data-fetch-failed: secret data exchange failed (transient)\n"
-      "  21  deadline/retry-budget exhausted: the request ran out of time\n"
-      "      or tokens (raise --deadline-ms or offered load is too high)\n"
+      "  21  deadline/retry-budget exhausted: the restore ran out of time\n"
+      "      or tokens, in whichever exchange and whatever its status\n"
+      "      (raise --deadline-ms, or offered load is too high)\n"
       "  30  ecall faulted: VM trap or instruction-budget runaway (with\n"
       "      --supervise the enclave is quarantined; retry later)\n"
       "  31  enclave retired: crash-loop breaker tripped or recovery\n"
@@ -116,10 +117,14 @@ int usage() {
 
 /// Maps the restore outcome onto the exit-code table printed by usage().
 /// \p Exhaustion is the verdict the run's provision-event observer kept
-/// (None when neither the chain nor the restore loop gave up), which
-/// splits the server-unreachable case into its backpressure, breaker and
-/// deadline/budget flavors.
+/// (None when neither the chain nor the restore loop gave up). A deadline
+/// or budget verdict ended the restore whichever exchange it cut; the
+/// chain's verdicts split the server-unreachable case into its
+/// backpressure and breaker flavors.
 int exitCodeForRestore(uint64_t Status, TransportErrc Exhaustion) {
+  if (Status != RestoreOk && (Exhaustion == TransportErrc::DeadlineExceeded ||
+                              Exhaustion == TransportErrc::RetryBudgetExhausted))
+    return 21;
   switch (Status) {
   case RestoreOk:
     return 0;
@@ -134,9 +139,6 @@ int exitCodeForRestore(uint64_t Status, TransportErrc Exhaustion) {
       return 18;
     if (Exhaustion == TransportErrc::BreakerOpen)
       return 19;
-    if (Exhaustion == TransportErrc::DeadlineExceeded ||
-        Exhaustion == TransportErrc::RetryBudgetExhausted)
-      return 21;
     return 13;
   case RestoreRejected:
     return 14;
@@ -641,16 +643,15 @@ int cmdRun(std::vector<std::string> Args) {
   ProvConfig.Breaker.JitterSeed = DeviceSeed ^ 0x50524f56ULL;
   ProvConfig.RetryBudgetInitial = std::stod(flagValue(
       Args, "--retry-budget", std::to_string(ProvConfig.RetryBudgetInitial)));
-  uint32_t DeadlineMs = static_cast<uint32_t>(
+  Policy.DeadlineMs = static_cast<uint32_t>(
       std::stoul(flagValue(Args, "--deadline-ms", "0")));
   std::string ClassName = flagValue(Args, "--criticality", "default");
-  Criticality RequestClass;
   if (ClassName == "critical")
-    RequestClass = Criticality::Critical;
+    Policy.Class = Criticality::Critical;
   else if (ClassName == "default")
-    RequestClass = Criticality::Default;
+    Policy.Class = Criticality::Default;
   else if (ClassName == "sheddable")
-    RequestClass = Criticality::Sheddable;
+    Policy.Class = Criticality::Sheddable;
   else
     return fail("--criticality expects critical|default|sheddable, got '" +
                 ClassName + "'");
@@ -738,8 +739,6 @@ int cmdRun(std::vector<std::string> Args) {
   Host.setEventCallback(Observe);
   if (!SealedCache.empty())
     Host.setSealedPath(SealedCache);
-  if (DeadlineMs != 0 || RequestClass != Criticality::Default)
-    Host.setRequestClass(RequestClass, DeadlineMs);
   if (!DataPath.empty()) {
     Expected<Bytes> Data = readFileBytes(DataPath);
     if (!Data)
